@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <numeric>
 #include <sstream>
@@ -33,45 +32,6 @@ constexpr int kSpanningRevalidateInterval = 63;
 
 }  // namespace
 
-void NetworkFabricSim::SideIndex::Erase(monoutil::BytesPerSecond rate, FlowId id) {
-  const auto entry = std::make_pair(rate, id);
-  auto it = std::lower_bound(shares.begin(), shares.end(), entry);
-  MONO_CHECK(it != shares.end() && *it == entry);
-  shares.erase(it);
-  rate_sum -= rate;
-}
-
-void NetworkFabricSim::SideIndex::Move(monoutil::BytesPerSecond old_rate,
-                                       monoutil::BytesPerSecond new_rate, FlowId id) {
-  const auto old_entry = std::make_pair(old_rate, id);
-  const auto new_entry = std::make_pair(new_rate, id);
-  const auto it = std::lower_bound(shares.begin(), shares.end(), old_entry);
-  MONO_CHECK(it != shares.end() && *it == old_entry);
-  // Linear destination scan plus a one-slot shift: the shift pays O(span)
-  // regardless, most re-keys move an entry past only a neighbor or two, and a
-  // plain move_backward/move compiles to a memmove where the general-purpose
-  // std::rotate would run its cycle-chasing loop.
-  if (new_entry < old_entry) {
-    auto dest = it;
-    while (dest != shares.begin() && *(dest - 1) > new_entry) {
-      --dest;
-    }
-    std::move_backward(dest, it, it + 1);
-    *dest = new_entry;
-  } else {
-    auto dest = it + 1;
-    while (dest != shares.end() && *dest < new_entry) {
-      ++dest;
-    }
-    std::move(it + 1, dest, it);
-    *(dest - 1) = new_entry;
-  }
-  // Same two operations Erase+Insert performed, so the incrementally-held sum
-  // stays bit-identical with the historical maintenance.
-  rate_sum -= old_rate;
-  rate_sum += new_rate;
-}
-
 NetworkFabricSim::NetworkFabricSim(Simulation* sim, int num_machines,
                                    monoutil::BytesPerSecond nic_bandwidth,
                                    monoutil::SimTime request_latency)
@@ -82,7 +42,7 @@ NetworkFabricSim::NetworkFabricSim(Simulation* sim, int num_machines,
       egress_count_(static_cast<size_t>(num_machines), 0),
       ingress_flows_(static_cast<size_t>(num_machines)),
       egress_flows_(static_cast<size_t>(num_machines)),
-      sides_(static_cast<size_t>(2 * num_machines)),
+      side_rate_sum_(static_cast<size_t>(2 * num_machines)),
       side_visit_stamp_(static_cast<size_t>(2 * num_machines), 0),
       slot_stamp_(static_cast<size_t>(2 * num_machines), 0),
       slot_of_(static_cast<size_t>(2 * num_machines), 0),
@@ -115,7 +75,7 @@ void NetworkFabricSim::AuditInvariants(SimAudit& audit, AuditPhase phase) const 
 
   // Per-NIC-side rate sums and maxima, reused below by the bandwidth checks and
   // the max-min bottleneck certification. Recomputed from the flow lists — the
-  // audit cross-checks the incrementally-maintained share indexes against this
+  // audit cross-checks the incrementally-maintained side rate sums against this
   // ground truth, so it must not read them. The sweep runs every epoch; the
   // scratch members are persistent so it costs a fill, not four allocations.
   const size_t machines = static_cast<size_t>(num_machines());
@@ -140,32 +100,23 @@ void NetworkFabricSim::AuditInvariants(SimAudit& audit, AuditPhase phase) const 
   // path must stay a tight loop, while the failing path can afford a second
   // pass. The per-machine bookkeeping checks below compare against these
   // ground truths without walking the per-machine lists again.
-  // 64-bit multiset fingerprint of the (rate, id) entries each NIC side should
-  // be indexing: commutative sum of a splitmix64-mixed encoding, so it can be
-  // accumulated in flow order during the single ground-truth walk and compared
-  // against the same sum taken over the sorted share index. Exact equality of
-  // the multisets is what the check is after; a collision needs two different
-  // entry multisets whose mixed sums match — with a full-avalanche mixer that
-  // is a 2^-64 accident, far below any plausible failure rate of the exact
-  // size/sum/order checks that accompany it. The failure path re-walks with
-  // exact membership probes to name an offender.
-  const auto entry_fp = [](double rate, FlowId id) {
-    uint64_t x;
-    std::memcpy(&x, &rate, sizeof(x));
-    x ^= id * 0x9e3779b97f4a7c15ULL;
-    x ^= x >> 30;
-    x *= 0xbf58476d1ce4e5b9ULL;
-    x ^= x >> 27;
-    x *= 0x94d049bb133111ebULL;
-    x ^= x >> 31;
-    return x;
-  };
-  audit_side_fp_.resize(sides_.size());
-  std::fill(audit_side_fp_.begin(), audit_side_fp_.end(), 0ULL);
   size_t listed_ingress = 0;
   size_t listed_egress = 0;
   bool ids_ordered = true;
   bool rates_nonneg = true;
+  // Completion-heap membership: every flow with a predicted completion sits at
+  // its recorded slot under its exact (time, id) key. Together with the count
+  // matching the heap size, that leaves the heap no room for stray entries.
+  bool heap_members_ok = true;
+  size_t indexed_flows = 0;
+  const auto heap_member_ok = [&](const Flow& flow) {
+    if (flow.predicted_done < SimTime()) {
+      return true;
+    }
+    const size_t slot = flow.completion_slot;
+    return slot < completions_.size() && completions_[slot].flow == &flow &&
+           completions_[slot].at == flow.predicted_done && completions_[slot].id == flow.id;
+  };
   FlowId last_id = 0;
   for (const Flow* flow : flows_by_id_) {
     ids_ordered = ids_ordered && flow->id > last_id;
@@ -178,28 +129,13 @@ void NetworkFabricSim::AuditInvariants(SimAudit& audit, AuditPhase phase) const 
     ingress_sum[dst] += rate;
     ingress_max[dst] = std::max(ingress_max[dst], rate);
     rates_nonneg = rates_nonneg && rate >= 0.0;
-    // The share indexes — which the pruning patches and the incremental solver
-    // take their decisions from — must hold exactly this flow's (rate, id)
-    // entry on both its sides: fold it into both sides' expected fingerprints
-    // (the entry is identical on both, so it is mixed once).
-    const uint64_t fp = entry_fp(rate, flow->id);
-    audit_side_fp_[static_cast<size_t>(EgressKey(flow->src))] += fp;
-    audit_side_fp_[static_cast<size_t>(IngressKey(flow->dst))] += fp;
+    heap_members_ok = heap_members_ok && heap_member_ok(*flow);
+    indexed_flows += flow->predicted_done >= SimTime() ? 1 : 0;
   }
-  // Compare each side's actual index against the expected fingerprint, and
-  // fold in strict (rate, id) ordering — the solver's base derivation and the
-  // patches' maximal-share probes both read the indexes positionally.
-  bool indexed_everywhere = true;
-  for (size_t k = 0; k < sides_.size(); ++k) {
-    const auto& shares = sides_[k].shares;
-    uint64_t acc = 0;
-    bool sorted = true;
-    for (size_t i = 0; i < shares.size(); ++i) {
-      acc += entry_fp(shares[i].first.bps(), shares[i].second);
-      sorted = sorted && (i == 0 || shares[i - 1] < shares[i]);
-    }
-    indexed_everywhere =
-        indexed_everywhere && sorted && acc == audit_side_fp_[k];
+  heap_members_ok = heap_members_ok && indexed_flows == completions_.size();
+  bool heap_ordered = true;
+  for (size_t i = 1; i < completions_.size(); ++i) {
+    heap_ordered = heap_ordered && !CompletesBefore(completions_[i], completions_[(i - 1) / 2]);
   }
   audit.ExpectLazy(rates_nonneg, now, source, "flow-rate-non-negative", [&] {
     std::ostringstream d;
@@ -211,27 +147,17 @@ void NetworkFabricSim::AuditInvariants(SimAudit& audit, AuditPhase phase) const 
     }
     return d.str();
   });
-  audit.ExpectLazy(indexed_everywhere, now, source, "share-index-consistent", [&] {
+  audit.ExpectLazy(heap_members_ok, now, source, "completion-index-membership", [&] {
     std::ostringstream d;
     for (const Flow* flow : flows_by_id_) {
-      if (!sides_[static_cast<size_t>(EgressKey(flow->src))].Contains(flow->rate,
-                                                                      flow->id) ||
-          !sides_[static_cast<size_t>(IngressKey(flow->dst))].Contains(flow->rate,
-                                                                       flow->id)) {
-        d << "flow " << flow->id << " (" << flow->src << "->" << flow->dst
-          << ") rate " << flow->rate << " is missing from a side's share index";
+      if (!heap_member_ok(*flow)) {
+        d << "flow " << flow->id << " predicted to complete at " << flow->predicted_done
+          << " is not at its completion-heap slot " << flow->completion_slot;
         return d.str();
       }
     }
-    for (size_t k = 0; k < sides_.size(); ++k) {
-      const auto& shares = sides_[k].shares;
-      if (!std::is_sorted(shares.begin(), shares.end())) {
-        d << (k % 2 == 0 ? "egress" : "ingress") << " share index of machine "
-          << k / 2 << " is out of (rate, id) order";
-        return d.str();
-      }
-    }
-    d << "a share index holds an entry for no active flow (fingerprint mismatch)";
+    d << "completion heap holds " << completions_.size() << " entries for "
+      << indexed_flows << " flows with a predicted completion";
     return d.str();
   });
   audit.ExpectLazy(ids_ordered, now, source, "flow-list-ordered", [&] {
@@ -243,8 +169,7 @@ void NetworkFabricSim::AuditInvariants(SimAudit& audit, AuditPhase phase) const 
   bool counts_ok = true;
   bool ingress_within = true;
   bool egress_within = true;
-  bool index_sizes_ok = true;
-  bool index_sums_ok = true;
+  bool rate_sums_ok = true;
   for (int m = 0; m < num_machines(); ++m) {
     const auto mu = static_cast<size_t>(m);
     const auto& ingress = ingress_flows_[mu];
@@ -257,16 +182,12 @@ void NetworkFabricSim::AuditInvariants(SimAudit& audit, AuditPhase phase) const 
     // together exceed its bandwidth.
     ingress_within = ingress_within && ingress_sum[mu] <= bw + eps;
     egress_within = egress_within && egress_sum[mu] <= bw + eps;
-    const SideIndex& egress_side = sides_[static_cast<size_t>(EgressKey(m))];
-    const SideIndex& ingress_side = sides_[static_cast<size_t>(IngressKey(m))];
-    // Entry count plus per-flow membership (above) pins the indexes' contents;
-    // the incrementally-maintained rate sums must also match the recomputed
-    // ground truth, or the solver's bases and the patches' decisions drift.
-    index_sizes_ok = index_sizes_ok && egress_side.shares.size() == egress.size() &&
-                     ingress_side.shares.size() == ingress.size();
-    index_sums_ok = index_sums_ok &&
-                    std::abs(egress_side.rate_sum.bps() - egress_sum[mu]) <= eps &&
-                    std::abs(ingress_side.rate_sum.bps() - ingress_sum[mu]) <= eps;
+    // The incrementally-maintained rate sums must match the recomputed ground
+    // truth, or the solver's bases and the patches' decisions drift.
+    const double egress_rate_sum = side_rate_sum_[static_cast<size_t>(EgressKey(m))].bps();
+    const double ingress_rate_sum = side_rate_sum_[static_cast<size_t>(IngressKey(m))].bps();
+    rate_sums_ok = rate_sums_ok && std::abs(egress_rate_sum - egress_sum[mu]) <= eps &&
+                    std::abs(ingress_rate_sum - ingress_sum[mu]) <= eps;
   }
   audit.ExpectLazy(counts_ok, now, source, "flow-count-bookkeeping", [&] {
     std::ostringstream d;
@@ -304,33 +225,31 @@ void NetworkFabricSim::AuditInvariants(SimAudit& audit, AuditPhase phase) const 
     }
     return d.str();
   });
-  audit.ExpectLazy(index_sizes_ok, now, source, "share-index-size", [&] {
+  audit.ExpectLazy(heap_ordered, now, source, "completion-index-order", [&] {
     std::ostringstream d;
-    for (int m = 0; m < num_machines(); ++m) {
-      const SideIndex& egress_side = sides_[static_cast<size_t>(EgressKey(m))];
-      const SideIndex& ingress_side = sides_[static_cast<size_t>(IngressKey(m))];
-      if (egress_side.shares.size() != egress_flows_[static_cast<size_t>(m)].size() ||
-          ingress_side.shares.size() != ingress_flows_[static_cast<size_t>(m)].size()) {
-        d << "machine " << m << ": share index (" << egress_side.shares.size()
-          << " egress, " << ingress_side.shares.size()
-          << " ingress entries) does not mirror the flow lists ("
-          << egress_flows_[static_cast<size_t>(m)].size() << ", "
-          << ingress_flows_[static_cast<size_t>(m)].size() << ")";
+    for (size_t i = 1; i < completions_.size(); ++i) {
+      const CompletionEntry& parent = completions_[(i - 1) / 2];
+      if (CompletesBefore(completions_[i], parent)) {
+        d << "completion-heap slot " << i << " (flow " << completions_[i].id << " at "
+          << completions_[i].at << ") precedes its parent (flow " << parent.id << " at "
+          << parent.at << ")";
         break;
       }
     }
     return d.str();
   });
-  audit.ExpectLazy(index_sums_ok, now, source, "share-index-rate-sum", [&] {
+  audit.ExpectLazy(rate_sums_ok, now, source, "share-index-rate-sum", [&] {
     std::ostringstream d;
     for (int m = 0; m < num_machines(); ++m) {
       const auto mu = static_cast<size_t>(m);
-      const SideIndex& egress_side = sides_[static_cast<size_t>(EgressKey(m))];
-      const SideIndex& ingress_side = sides_[static_cast<size_t>(IngressKey(m))];
-      if (std::abs(egress_side.rate_sum.bps() - egress_sum[mu]) > eps ||
-          std::abs(ingress_side.rate_sum.bps() - ingress_sum[mu]) > eps) {
-        d << "machine " << m << ": indexed rate sums (" << egress_side.rate_sum
-          << " egress, " << ingress_side.rate_sum << " ingress) drifted from totals ("
+      const monoutil::BytesPerSecond egress_rate_sum =
+          side_rate_sum_[static_cast<size_t>(EgressKey(m))];
+      const monoutil::BytesPerSecond ingress_rate_sum =
+          side_rate_sum_[static_cast<size_t>(IngressKey(m))];
+      if (std::abs(egress_rate_sum.bps() - egress_sum[mu]) > eps ||
+          std::abs(ingress_rate_sum.bps() - ingress_sum[mu]) > eps) {
+        d << "machine " << m << ": side rate sums (" << egress_rate_sum
+          << " egress, " << ingress_rate_sum << " ingress) drifted from totals ("
           << egress_sum[mu] << ", " << ingress_sum[mu] << ")";
         break;
       }
@@ -455,7 +374,7 @@ NetworkFabricSim::FlowId NetworkFabricSim::StartFlowImpl(int src, int dst,
   flows_by_id_.push_back(raw);  // Ids are monotonic: the back keeps the order.
 
   // Close out the interval ending now before the busy-side set grows. The new
-  // flow enters its share indexes at rate 0, so saturation is untouched here.
+  // flow enters its side rate sums at rate 0, so saturation is untouched here.
   AccumulateSideTime(sim_->now());
   if (egress_count_[static_cast<size_t>(src)] == 0) {
     ++busy_side_count_;
@@ -467,8 +386,8 @@ NetworkFabricSim::FlowId NetworkFabricSim::StartFlowImpl(int src, int dst,
   ++ingress_count_[static_cast<size_t>(dst)];
   egress_flows_[static_cast<size_t>(src)].push_back(raw);
   ingress_flows_[static_cast<size_t>(dst)].push_back(raw);
-  sides_[static_cast<size_t>(EgressKey(src))].Insert(monoutil::BytesPerSecond(), id);
-  sides_[static_cast<size_t>(IngressKey(dst))].Insert(monoutil::BytesPerSecond(), id);
+  side_rate_sum_[static_cast<size_t>(EgressKey(src))] += monoutil::BytesPerSecond();
+  side_rate_sum_[static_cast<size_t>(IngressKey(dst))] += monoutil::BytesPerSecond();
   total_bytes_ += bytes;
 
   if (share_policy_ == SharePolicy::kMinShareLegacy) {
@@ -516,12 +435,12 @@ bool NetworkFabricSim::TryPatchArrival(Flow* flow) {
   if (!dirty_sides_.empty()) {
     return false;  // Rates are stale mid-epoch; local reasoning would be unsound.
   }
-  const SideIndex& egress = sides_[static_cast<size_t>(EgressKey(flow->src))];
-  const SideIndex& ingress = sides_[static_cast<size_t>(IngressKey(flow->dst))];
+  const int egress = EgressKey(flow->src);
+  const int ingress = IngressKey(flow->dst);
   const double bw = nic_bandwidth_.bps();
   const double eps = 1e-9 * std::max(1.0, bw);
-  const double free_egress = bw - egress.rate_sum.bps();
-  const double free_ingress = bw - ingress.rate_sum.bps();
+  const double free_egress = bw - side_rate_sum_[static_cast<size_t>(egress)].bps();
+  const double free_ingress = bw - side_rate_sum_[static_cast<size_t>(ingress)].bps();
   const double rate = std::min(free_egress, free_ingress);
   if (rate <= eps) {
     return false;  // A side is already saturated: its flows would re-level.
@@ -532,10 +451,10 @@ bool NetworkFabricSim::TryPatchArrival(Flow* flow) {
   // unsaturated carried no bottlenecked flow (it had free capacity), so raising
   // its sum constrains nobody. The patched flow itself ends at the top of a
   // saturated side, exactly what the max-min-bottleneck audit certifies.
-  if (free_egress <= rate + eps && egress.max_share().bps() > rate + eps) {
+  if (free_egress <= rate + eps && TopShare(egress) > rate + eps) {
     return false;
   }
-  if (free_ingress <= rate + eps && ingress.max_share().bps() > rate + eps) {
+  if (free_ingress <= rate + eps && TopShare(ingress) > rate + eps) {
     return false;
   }
   ApplyRate(flow, monoutil::BytesPerSecond(rate));
@@ -551,21 +470,16 @@ bool NetworkFabricSim::CanPatchDeparture(const Flow& flow) const {
   const double bw = nic_bandwidth_.bps();
   const double eps = 1e-9 * std::max(1.0, bw);
   for (const int key : {EgressKey(flow.src), IngressKey(flow.dst)}) {
-    const SideIndex& side = sides_[static_cast<size_t>(key)];
-    if (side.rate_sum.bps() < bw - eps) {
+    if (side_rate_sum_[static_cast<size_t>(key)].bps() < bw - eps) {
       continue;  // Unsaturated side: nobody is pinned here, freeing more changes nothing.
+    }
+    if (SideFlows(key).size() == 1) {
+      continue;  // The departing flow was alone on the side.
     }
     // Saturated side: the departure is invisible only if every remaining flow has
     // a strictly smaller share — each is then bottlenecked (maximal) at its
     // *other*, still-saturated side and cannot rise into the freed capacity.
-    size_t top = side.shares.size() - 1;
-    if (side.shares[top] == std::make_pair(flow.rate, flow.id)) {
-      if (top == 0) {
-        continue;  // The departing flow was alone on the side.
-      }
-      --top;  // The departing flow holds the top share; examine the runner-up.
-    }
-    if (side.shares[top].first.bps() >= flow.rate.bps() - eps) {
+    if (TopShare(key, &flow) >= flow.rate.bps() - eps) {
       return false;
     }
   }
@@ -641,7 +555,7 @@ void NetworkFabricSim::SolveMaxMin(const std::vector<Flow*>& component,
     // beyond their array entry: a zero degree parks their cap at +inf
     // ((bandwidth - 0) / 0 in IEEE terms), so the bottleneck scan skips them
     // the same way it skips exhausted slots.
-    num_slots = static_cast<int>(sides_.size());
+    num_slots = static_cast<int>(side_rate_sum_.size());
     const auto ns = static_cast<size_t>(num_slots);
     grow_slot_arrays(ns);
     std::fill(slot_unfrozen_.begin(), slot_unfrozen_.begin() + num_slots, 0);
@@ -711,12 +625,12 @@ void NetworkFabricSim::SolveMaxMin(const std::vector<Flow*>& component,
   // skip-unchanged test keeps working across re-solves).
   for (int s = 0; s < num_slots; ++s) {
     const auto su = static_cast<size_t>(s);
-    const SideIndex& side = sides_[static_cast<size_t>(slot_keys_[su])];
+    const int key = slot_keys_[su];
     const double base =
-        side.shares.size() ==
+        SideFlows(key).size() ==
                 static_cast<size_t>(slot_adj_offset_[su + 1] - slot_adj_offset_[su])
             ? 0.0
-            : std::max(0.0, side.rate_sum.bps() - slot_base_[su]);
+            : std::max(0.0, side_rate_sum_[static_cast<size_t>(key)].bps() - slot_base_[su]);
     slot_base_[su] = base;
     slot_consumed_[su] = base;
   }
@@ -833,15 +747,24 @@ bool NetworkFabricSim::CertifiedAfterSolve(const Flow& flow, double eps) const {
       sum = slot_total_[s];
       top = std::max(slot_max_affected_[s], slot_unaffected_max_[s]);
     } else {
-      const SideIndex& side = sides_[k];
-      sum = side.rate_sum.bps();
-      top = side.max_share().bps();
+      sum = side_rate_sum_[k].bps();
+      top = TopShare(key);
     }
     if (sum >= nic_bandwidth_.bps() - eps && flow.rate.bps() >= top - eps) {
       return true;
     }
   }
   return false;
+}
+
+double NetworkFabricSim::TopShare(int key, const Flow* except) const {
+  double top = 0.0;
+  for (const Flow* flow : SideFlows(key)) {
+    if (flow != except) {
+      top = std::max(top, flow->rate.bps());
+    }
+  }
+  return top;
 }
 
 void NetworkFabricSim::SortByFlowId(std::vector<Flow*>* flows) {
@@ -872,11 +795,12 @@ void NetworkFabricSim::ApplyRate(Flow* flow, monoutil::BytesPerSecond new_rate) 
   if (new_rate != flow->rate) {
     ++stats_.rate_changes;
     AccumulateSideTime(now);
-    // Re-key the flow in both sides' share indexes, tracking each side's
-    // saturation transition as its rate sum moves.
+    // Move both sides' rate sums, tracking each side's saturation transition.
     for (const int key : {EgressKey(flow->src), IngressKey(flow->dst)}) {
       const bool was_saturated = SideSaturated(key);
-      sides_[static_cast<size_t>(key)].Move(flow->rate, new_rate, flow->id);
+      monoutil::BytesPerSecond& sum = side_rate_sum_[static_cast<size_t>(key)];
+      sum -= flow->rate;
+      sum += new_rate;
       if (SideSaturated(key) != was_saturated) {
         saturated_side_count_ += was_saturated ? -1 : 1;
       }
@@ -886,62 +810,79 @@ void NetworkFabricSim::ApplyRate(Flow* flow, monoutil::BytesPerSecond new_rate) 
 
   // Re-key the predicted completion; the caller refreshes the single timer
   // event once its batch of rate changes is applied.
-  const SimTime done_at = now + SimTime(flow->remaining / flow->rate.bps());
-  if (flow->predicted_done >= SimTime()) {
-    MoveCompletion(flow->predicted_done, done_at, flow->id);
-  } else {
-    InsertCompletion(done_at, flow->id);
+  IndexCompletion(flow, now + SimTime(flow->remaining / flow->rate.bps()));
+}
+
+void NetworkFabricSim::IndexCompletion(Flow* flow, SimTime at) {
+  if (flow->predicted_done < SimTime()) {
+    flow->predicted_done = at;
+    completions_.push_back(CompletionEntry{at, flow->id, flow});
+    SiftCompletionUp(completions_.size() - 1);
+    return;
   }
-  flow->predicted_done = done_at;
-}
-
-void NetworkFabricSim::InsertCompletion(SimTime at, FlowId id) {
-  const auto entry = std::make_pair(at, id);
-  completions_.insert(std::upper_bound(completions_.begin(), completions_.end(),
-                                       entry, std::greater<>()),
-                      entry);
-}
-
-void NetworkFabricSim::EraseCompletion(SimTime at, FlowId id) {
-  const auto entry = std::make_pair(at, id);
-  auto it = std::lower_bound(completions_.begin(), completions_.end(), entry,
-                             std::greater<>());
-  MONO_CHECK(it != completions_.end() && *it == entry);
-  completions_.erase(it);
-}
-
-void NetworkFabricSim::MoveCompletion(SimTime from, SimTime to, FlowId id) {
-  const auto old_entry = std::make_pair(from, id);
-  const auto new_entry = std::make_pair(to, id);
-  const auto it = std::lower_bound(completions_.begin(), completions_.end(),
-                                   old_entry, std::greater<>());
-  MONO_CHECK(it != completions_.end() && *it == old_entry);
-  // Descending order: larger keys live nearer the front. One shift moves only
-  // the entries *between* the old and new positions, where erase+insert would
-  // move everything from the smaller position to the end twice. The destination
-  // is found by scanning linearly from the old position: the shift already
-  // pays O(span), so the scan adds nothing asymptotically, and a re-levelled
-  // flow's completion usually lands within a couple of neighbors — a span far
-  // shorter than a binary search over the whole index.
-  if (new_entry > old_entry) {
-    auto dest = it;
-    while (dest != completions_.begin() && *(dest - 1) < new_entry) {
-      --dest;
-    }
-    std::move_backward(dest, it, it + 1);
-    *dest = new_entry;
+  const SimTime from = flow->predicted_done;
+  flow->predicted_done = at;
+  const size_t slot = flow->completion_slot;
+  completions_[slot].at = at;
+  if (at < from) {
+    SiftCompletionUp(slot);
   } else {
-    auto dest = it + 1;
-    while (dest != completions_.end() && *dest > new_entry) {
-      ++dest;
-    }
-    std::move(it + 1, dest, it);
-    *(dest - 1) = new_entry;
+    SiftCompletionDown(slot);
   }
+}
+
+NetworkFabricSim::FlowId NetworkFabricSim::PopCompletion() {
+  Flow* flow = completions_.front().flow;
+  flow->predicted_done = SimTime(-1.0);
+  const CompletionEntry last = completions_.back();
+  completions_.pop_back();
+  if (!completions_.empty()) {
+    PlaceCompletion(0, last);
+    SiftCompletionDown(0);
+  }
+  return flow->id;
+}
+
+void NetworkFabricSim::SiftCompletionUp(size_t slot) {
+  const CompletionEntry entry = completions_[slot];
+  while (slot > 0) {
+    const size_t parent = (slot - 1) / 2;
+    if (!CompletesBefore(entry, completions_[parent])) {
+      break;
+    }
+    PlaceCompletion(slot, completions_[parent]);
+    slot = parent;
+  }
+  PlaceCompletion(slot, entry);
+}
+
+void NetworkFabricSim::SiftCompletionDown(size_t slot) {
+  const CompletionEntry entry = completions_[slot];
+  const size_t n = completions_.size();
+  for (;;) {
+    size_t child = 2 * slot + 1;
+    if (child >= n) {
+      break;
+    }
+    if (child + 1 < n && CompletesBefore(completions_[child + 1], completions_[child])) {
+      ++child;
+    }
+    if (!CompletesBefore(completions_[child], entry)) {
+      break;
+    }
+    PlaceCompletion(slot, completions_[child]);
+    slot = child;
+  }
+  PlaceCompletion(slot, entry);
+}
+
+void NetworkFabricSim::SkewCompletionEntryForTest(size_t slot, monoutil::SimTime delta) {
+  MONO_CHECK(slot < completions_.size());
+  completions_[slot].at += delta;
 }
 
 void NetworkFabricSim::UpdateCompletionTimer() {
-  const SimTime want = completions_.empty() ? SimTime(-1.0) : completions_.back().first;
+  const SimTime want = completions_.empty() ? SimTime(-1.0) : completions_.front().at;
   if (want == next_completion_time_ && (want < SimTime() || next_completion_.pending())) {
     return;  // The timer already points at the minimum.
   }
@@ -962,12 +903,10 @@ void NetworkFabricSim::UpdateCompletionTimer() {
 void NetworkFabricSim::OnNextCompletion() {
   // Complete every flow due now, earliest (time, id) first. Completion callbacks
   // may start replacement flows whose patches insert new entries mid-loop, so
-  // the minimum is re-read from the index each iteration.
+  // the minimum is re-read from the heap each iteration.
   const SimTime now = sim_->now();
-  while (!completions_.empty() && completions_.back().first <= now) {
-    const FlowId id = completions_.back().second;
-    completions_.pop_back();
-    OnFlowComplete(id);
+  while (!completions_.empty() && completions_.front().at <= now) {
+    OnFlowComplete(PopCompletion());
   }
   UpdateCompletionTimer();
 }
@@ -998,7 +937,7 @@ void NetworkFabricSim::FlushPending() {
   // pinned there hold their level) and the boundary check keeps it honest.
   bool try_local = true;
   for (const int key : dirty_sides_) {
-    if (sides_[static_cast<size_t>(key)].rate_sum.bps() >= bw - eps) {
+    if (side_rate_sum_[static_cast<size_t>(key)].bps() >= bw - eps) {
       try_local = false;
       break;
     }
@@ -1040,7 +979,7 @@ void NetworkFabricSim::FlushPending() {
     // flows along — the sub-solve would expand and fall back anyway, so skip
     // straight there rather than paying a doomed round.
     for (const int key : affected_sides_) {
-      if (sides_[static_cast<size_t>(key)].rate_sum.bps() >= bw - eps) {
+      if (side_rate_sum_[static_cast<size_t>(key)].bps() >= bw - eps) {
         try_local = false;
         break;
       }
@@ -1072,17 +1011,10 @@ void NetworkFabricSim::FlushPending() {
       // checks, so the fixpoint is sound by the same iff-characterization of
       // max-min fairness.
       //
-      // Both passes walk the sides' contiguous (rate, id) share indexes and
-      // classify entries against the id-sorted solve input (sort_scratch_), so
-      // fixed flows that stay certified — the common case — are never
-      // dereferenced. Affected flows' index entries still carry their
-      // pre-solve rates; only the entries classified as fixed are read.
-      const auto is_affected = [&](FlowId id) {
-        const auto it = std::lower_bound(
-            sort_scratch_.begin(), sort_scratch_.end(), id,
-            [](const std::pair<FlowId, Flow*>& e, FlowId v) { return e.first < v; });
-        return it != sort_scratch_.end() && it->first == id;
-      };
+      // Both passes walk the affected sides' flow lists. A flow is in the
+      // solved set iff it carries this flush's visit stamp (flows joined below
+      // carry it too, and are skipped the same way); fixed flows are read at
+      // their current, pre-solve rates.
       const size_t sides_at_solve = affected_sides_.size();
       for (size_t si = 0; si < sides_at_solve; ++si) {
         const int key = affected_sides_[si];
@@ -1091,9 +1023,9 @@ void NetworkFabricSim::FlushPending() {
         }
         const auto s = static_cast<size_t>(slot_of_[static_cast<size_t>(key)]);
         double unaffected_max = 0.0;
-        for (const auto& [rate, id] : sides_[static_cast<size_t>(key)].shares) {
-          if (!is_affected(id)) {
-            unaffected_max = std::max(unaffected_max, rate.bps());
+        for (const Flow* flow : SideFlows(key)) {
+          if (flow->visit_stamp != visit_stamp_) {
+            unaffected_max = std::max(unaffected_max, flow->rate.bps());
           }
         }
         slot_unaffected_max_[s] = unaffected_max;
@@ -1108,17 +1040,13 @@ void NetworkFabricSim::FlushPending() {
         const double level = slot_level_[s];
         const bool saturated = slot_total_[s] >= bw - eps;
         const double top = std::max(slot_max_affected_[s], slot_unaffected_max_[s]);
-        for (const auto& [share, id] : sides_[static_cast<size_t>(key)].shares) {
-          const double rate = share.bps();
-          if (is_affected(id)) {
-            continue;
-          }
-          if (rate <= level + eps && saturated && rate >= top - eps) {
-            continue;  // Certified at this side without touching the flow.
-          }
-          Flow* flow = FindFlow(id);
+        for (Flow* flow : SideFlows(key)) {
           if (flow->visit_stamp == visit_stamp_) {
-            continue;  // Joined through another side this round.
+            continue;  // Solved, or joined through another side this round.
+          }
+          const double rate = flow->rate.bps();
+          if (rate <= level + eps && saturated && rate >= top - eps) {
+            continue;  // Certified at this side.
           }
           if (rate > level + eps || !CertifiedAfterSolve(*flow, eps)) {
             add_flow(flow);
@@ -1245,8 +1173,8 @@ void NetworkFabricSim::OnFlowComplete(FlowId id) {
   const int dst = flow->dst;
   const monoutil::BytesPerSecond rate = flow->rate;
   InlineCallback done = std::move(flow->done);
-  // Decide on the local patch while the departing flow's index entries still
-  // exist (the decision reads its sides' sums and top shares).
+  // Decide on the local patch while the departing flow still counts in its
+  // sides' lists and rate sums (the decision reads both).
   const bool patched =
       share_policy_ == SharePolicy::kMaxMinFair && CanPatchDeparture(*flow);
 
@@ -1266,7 +1194,7 @@ void NetworkFabricSim::OnFlowComplete(FlowId id) {
   }
   for (const int key : {EgressKey(src), IngressKey(dst)}) {
     const bool was_saturated = SideSaturated(key);
-    sides_[static_cast<size_t>(key)].Erase(rate, id);
+    side_rate_sum_[static_cast<size_t>(key)] -= rate;
     if (SideSaturated(key) != was_saturated) {
       saturated_side_count_ += was_saturated ? -1 : 1;
     }

@@ -26,15 +26,17 @@
 //    clock advances — one solve per timestamp instead of one per event. Rate
 //    queries (flow_rate, ActiveFlows, the audit) flush pending work first, so
 //    callers never observe the transient mid-epoch state.
-//  * Sorted share indexes. Every NIC side keeps its flows ordered by current
-//    share (rate-keyed with flow-id tie-breaks), giving O(log n) access to a
-//    side's rate sum, maximum and runner-up share.
+//  * Side rate sums. Every NIC side keeps only the running sum of its flows'
+//    rates, updated in O(1) per rate change. The few decisions that need a
+//    side's top share (the pruning patches and the boundary check below) scan
+//    that side's flow list, which carries a handful of flows: a rare short
+//    scan costs less than keeping every side sorted through every rate change.
 //  * Bottleneck-set pruning. A single arrival or departure whose delta provably
-//    cannot change the saturated-side structure is absorbed by an O(log n) local
-//    patch instead of any re-solve: an arrival that fits the free capacity of
-//    both its sides without out-ranking any flow on a side it saturates, or a
-//    departure whose rate strictly out-ranks every remaining flow on each of its
-//    saturated sides (so nobody was bottlenecked behind it). When a re-solve is
+//    cannot change the saturated-side structure is absorbed by a local patch
+//    instead of any re-solve: an arrival that fits the free capacity of both
+//    its sides with no larger share on a side it saturates, or a departure
+//    whose rate strictly exceeds every other flow's on each of its saturated
+//    sides (so nobody was bottlenecked behind it). When a re-solve is
 //    needed it is still pruned to the *affected set*, not the whole connected
 //    component: the flows on the changed sides are re-solved as a sub-problem in
 //    which every other flow is fixed consumption, and the boundary is then
@@ -48,14 +50,15 @@
 //    that component cannot change, so the fallback is always sufficient).
 //
 // Completion events go through a fabric-owned index rather than the simulation
-// queue: each flow's predicted completion time lives in a sorted (time, id)
-// vector and a single "next completion" event tracks the minimum. A rate change
-// then re-keys two doubles in that index instead of cancelling and rescheduling
-// a per-flow simulation event — the dominant cost of churn once solving itself
+// queue: each flow's predicted completion time lives in an indexed binary
+// min-heap keyed on (time, id), each flow remembering its heap slot, and a
+// single "next completion" event tracks the minimum. A rate change then re-keys
+// the flow with one O(log n) sift instead of cancelling and rescheduling a
+// per-flow simulation event — the dominant cost of churn once solving itself
 // is pruned, since a max-min cascade re-times many completions per delta. Rates
-// are solved and applied in ascending flow-id order, and the index orders by
-// (time, id), so the event schedule (and the run digest) never depends on
-// traversal order.
+// are solved and applied in ascending flow-id order, and the heap pops in
+// ascending (time, id) order, so the event schedule (and the run digest) never
+// depends on traversal order.
 #ifndef MONOTASKS_SRC_CLUSTER_NETWORK_H_
 #define MONOTASKS_SRC_CLUSTER_NETWORK_H_
 
@@ -175,13 +178,19 @@ class NetworkFabricSim : public Auditable {
   double MeanIngressUtilization(int machine, SimTime from, SimTime to) const;
 
   // Invariant auditing (audit.h): flow counts consistent with the per-machine flow
-  // lists (both directions), the sorted share indexes consistent with the flow
-  // lists, per-NIC ingress/egress rate sums within the NIC bandwidth, flow rates
+  // lists (both directions), the side rate sums consistent with the flow rates,
+  // the completion heap indexing exactly the rated flows in heap order,
+  // per-NIC ingress/egress rate sums within the NIC bandwidth, flow rates
   // non-negative, every flow's rate certified max-min fair (it touches at least
   // one saturated NIC side where no flow has a larger share), and no flows left
   // when the simulation drains. Pending epoch work is flushed first, so the audit
   // always certifies the batched solution, never the mid-epoch transient.
   void AuditInvariants(SimAudit& audit, AuditPhase phase) const override;
+
+  // Test-only corruption for the audit's negative tests: shifts the key stored
+  // in completion-heap slot `slot` by `delta` without re-sifting it or touching
+  // the flow's own predicted completion time.
+  void SkewCompletionEntryForTest(size_t slot, monoutil::SimTime delta);
 
  private:
   struct Flow {
@@ -194,54 +203,12 @@ class NetworkFabricSim : public Auditable {
     monoutil::BytesPerSecond rate;
     SimTime last_update;
     InlineCallback done;
-    // Absolute predicted completion time, mirrored in the completion index;
-    // negative while the flow has not been assigned a rate yet.
+    // Absolute predicted completion time, mirrored in the completion heap at
+    // `completion_slot`; negative while the flow is not in the heap (not yet
+    // assigned a rate, or already popped for completion).
     SimTime predicted_done{-1.0};
+    size_t completion_slot = 0;
     uint64_t visit_stamp = 0;  // Affected-set membership stamp (one stamp per flush).
-  };
-
-  // One NIC side's persistent share index: the flows crossing the side ordered by
-  // current rate, ties broken by flow id so the order never depends on addresses.
-  // Maintained by ApplyRate and flow add/remove; gives the pruning patches (and
-  // consistency audits) the side's rate sum and top shares in O(log n). Kept as a
-  // sorted vector rather than a tree: a NIC side carries few flows, so a binary
-  // search plus a short memmove beats node allocation on every re-key. Sides are
-  // keyed 2m (egress of machine m) / 2m+1 (ingress of m).
-  struct SideIndex {
-    monoutil::BytesPerSecond rate_sum;
-    // Ascending (rate, id). Entries are keyed by the flow's exact stored rate —
-    // bit-identical, not merely close — which the strong key type now enforces
-    // at every call site (a recomputed double cannot sneak in unconverted).
-    std::vector<std::pair<monoutil::BytesPerSecond, FlowId>> shares;
-
-    monoutil::BytesPerSecond max_share() const {
-      return shares.empty() ? monoutil::BytesPerSecond() : shares.back().first;
-    }
-    void Insert(monoutil::BytesPerSecond rate, FlowId id) {
-      shares.insert(std::upper_bound(shares.begin(), shares.end(),
-                                     std::make_pair(rate, id)),
-                    {rate, id});
-      rate_sum += rate;
-    }
-    void Erase(monoutil::BytesPerSecond rate, FlowId id);  // The entry must exist.
-    // Re-keys an existing entry in place: one rotate over the span between the
-    // old and new positions instead of an erase+insert pair of memmoves.
-    void Move(monoutil::BytesPerSecond old_rate, monoutil::BytesPerSecond new_rate,
-              FlowId id);
-    bool Contains(monoutil::BytesPerSecond rate, FlowId id) const {
-      const auto entry = std::make_pair(rate, id);
-      if (shares.size() <= 16) {
-        // A NIC side usually carries a handful of flows: a predictable linear
-        // scan beats a binary search's data-dependent branches.
-        for (const auto& e : shares) {
-          if (e == entry) {
-            return true;
-          }
-        }
-        return false;
-      }
-      return std::binary_search(shares.begin(), shares.end(), entry);
-    }
   };
 
   static int EgressKey(int machine) { return 2 * machine; }
@@ -318,24 +285,40 @@ class NetworkFabricSim : public Auditable {
   // After a sub-solve: true if some side of `flow` still certifies its (fixed)
   // rate — saturated, with `flow` holding a maximal share. Sides in the solve
   // are read from the solver's per-slot results, untouched sides from their
-  // share index (which the solve cannot have changed).
+  // rate sum and flow list (which the solve cannot have changed).
   bool CertifiedAfterSolve(const Flow& flow, double eps) const;
 
+  // The largest rate among the flows crossing side `key`, skipping `except`;
+  // zero when no other flow crosses it.
+  double TopShare(int key, const Flow* except = nullptr) const;
+
   // Advances `flow`'s progress under its old rate, then installs `new_rate`,
-  // updates the share indexes, and re-keys the flow in the completion index.
+  // updates the side rate sums, and re-keys the flow in the completion heap.
   // Skips flows whose rate is unchanged, so symmetric recomputes cost nothing.
   void ApplyRate(Flow* flow, monoutil::BytesPerSecond new_rate);
 
-  // Completion index maintenance: the sorted (time, id) entries, the single
-  // simulation event tracking their minimum, and the handler that completes
+  // Completion heap maintenance: IndexCompletion inserts `flow` at `at`, or
+  // re-keys it with one sift if it is already in the heap; PopCompletion
+  // removes the (time, id)-minimum and returns its flow id. Sifts keep every
+  // moved flow's completion_slot current. UpdateCompletionTimer points the
+  // single simulation event at the minimum, and OnNextCompletion completes
   // every flow due at the fired timestamp.
-  void InsertCompletion(SimTime at, FlowId id);
-  void EraseCompletion(SimTime at, FlowId id);
-  // Re-keys an indexed completion in place: one rotate over the span between
-  // the old and new positions, instead of an erase (memmove to the end) plus an
-  // insert (another). Rate perturbations move a completion a short distance, so
-  // the rotated span is usually a handful of entries.
-  void MoveCompletion(SimTime from, SimTime to, FlowId id);
+  struct CompletionEntry {
+    SimTime at;
+    FlowId id;
+    Flow* flow;
+  };
+  static bool CompletesBefore(const CompletionEntry& a, const CompletionEntry& b) {
+    return a.at < b.at || (a.at == b.at && a.id < b.id);
+  }
+  void IndexCompletion(Flow* flow, SimTime at);
+  FlowId PopCompletion();
+  void SiftCompletionUp(size_t slot);
+  void SiftCompletionDown(size_t slot);
+  void PlaceCompletion(size_t slot, const CompletionEntry& entry) {
+    completions_[slot] = entry;
+    entry.flow->completion_slot = slot;
+  }
   void UpdateCompletionTimer();
   void OnNextCompletion();
 
@@ -381,7 +364,7 @@ class NetworkFabricSim : public Auditable {
   void AccumulateSideTime(SimTime now) const;
   bool SideSaturated(int side_key) const {
     const double bw = nic_bandwidth_.bps();
-    return sides_[static_cast<size_t>(side_key)].rate_sum.bps() >=
+    return side_rate_sum_[static_cast<size_t>(side_key)].bps() >=
            bw - 1e-9 * std::max(1.0, bw);
   }
 
@@ -406,13 +389,15 @@ class NetworkFabricSim : public Auditable {
   std::vector<int> egress_count_;
   std::vector<std::vector<Flow*>> ingress_flows_;
   std::vector<std::vector<Flow*>> egress_flows_;
-  std::vector<SideIndex> sides_;  // Indexed by EgressKey/IngressKey.
-  // Predicted completion times, sorted *descending* by (time, id): the earliest
-  // completion sits at the back, so firing it is a pop_back and re-keying an
-  // imminent completion moves little memory. One simulation event tracks the
-  // minimum; per-flow events would pay a queue cancel+reschedule for every rate
-  // change a cascade re-times.
-  std::vector<std::pair<SimTime, FlowId>> completions_;
+  // Sum of the rates of the flows crossing each NIC side, indexed by
+  // EgressKey/IngressKey. Maintained incrementally by flow add/remove and
+  // ApplyRate: add contributes += 0, a rate change -= old then += new, and a
+  // removal -= rate, so the sum is a fixed function of the change sequence.
+  std::vector<monoutil::BytesPerSecond> side_rate_sum_;
+  // Predicted completion times as a binary min-heap on (time, id). One
+  // simulation event tracks the minimum; per-flow events would pay a queue
+  // cancel+reschedule for every rate change a cascade re-times.
+  std::vector<CompletionEntry> completions_;
   EventHandle next_completion_;
   SimTime next_completion_time_{-1.0};
   FlowId next_id_ = 1;
@@ -482,7 +467,7 @@ class NetworkFabricSim : public Auditable {
   // Utilization-telemetry state (AccumulateSideTime): the integrals, the time
   // they are advanced to, and the side counts they advance under. busy = sides
   // carrying >= 1 flow; saturated = sides whose rate sum consumes the NIC
-  // bandwidth, maintained incrementally at every share-index mutation.
+  // bandwidth, maintained incrementally at every rate-sum update.
   mutable SimTime busy_side_seconds_;
   mutable SimTime saturated_side_seconds_;
   mutable SimTime side_accum_at_;
@@ -499,10 +484,6 @@ class NetworkFabricSim : public Auditable {
   mutable std::vector<double> audit_ingress_max_;
   mutable std::vector<double> audit_egress_sum_;
   mutable std::vector<double> audit_egress_max_;
-  // Ground-truth multiset fingerprint per NIC side (commutative sum of mixed
-  // (rate, id) entries), rebuilt by every sweep and compared against the same
-  // sum over the incrementally-maintained share indexes.
-  mutable std::vector<uint64_t> audit_side_fp_;
 };
 
 }  // namespace monosim

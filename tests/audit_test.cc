@@ -118,6 +118,38 @@ TEST(SimAuditTest, SymmetricShufflesMaskTheLegacyNetworkBug) {
   EXPECT_GT(audit.checks_run(), 0u);
 }
 
+TEST(SimAuditTest, DetectsCorruptedCompletionHeap) {
+  // The fabric fires flow completions from its own (time, id) heap instead of
+  // per-flow simulation events, so a mis-keyed entry would silently reorder or
+  // lose completions. Skewing one entry's stored key below its parent's,
+  // without re-sifting it, must be reported both as a membership mismatch (the
+  // key no longer matches the flow's predicted completion) and as a
+  // heap-order violation.
+  Simulation sim;
+  NetworkFabricSim fabric(&sim, 4, monoutil::BytesPerSecond(100.0));
+  const auto first = fabric.StartFlow(0, 1, monoutil::Bytes(100), [] {});
+  fabric.StartFlow(2, 3, monoutil::Bytes(200), [] {});
+  fabric.flow_rate(first);  // Settle the epoch: both flows are rated and indexed.
+  {
+    SimAudit clean;
+    fabric.AuditInvariants(clean, AuditPhase::kEventBoundary);
+    ASSERT_TRUE(clean.ok()) << clean.Summary();
+  }
+  fabric.SkewCompletionEntryForTest(/*slot=*/1, monoutil::Seconds(-10.0));
+  SimAudit audit;  // Standalone: the corrupted fabric is audited, never run.
+  fabric.AuditInvariants(audit, AuditPhase::kEventBoundary);
+  ASSERT_FALSE(audit.ok());
+  bool membership_flagged = false;
+  bool order_flagged = false;
+  for (const AuditViolation& violation : audit.violations()) {
+    EXPECT_EQ(violation.source, "network-fabric");
+    membership_flagged |= violation.invariant == "completion-index-membership";
+    order_flagged |= violation.invariant == "completion-index-order";
+  }
+  EXPECT_TRUE(membership_flagged) << audit.Summary();
+  EXPECT_TRUE(order_flagged) << audit.Summary();
+}
+
 TEST(SimAuditTest, NestedAuditReceivesChecksAndRestoresOuter) {
   ScopedAudit outer(ScopedAudit::kReport);
   const uint64_t outer_checks_before = outer.audit().checks_run();

@@ -160,6 +160,89 @@ TEST(NetworkFabricTest, FabricChurnKeepsEventQueueCompact) {
   EXPECT_LE(max_queue, 2 * kLanes + Simulation::kCompactionMinQueueSize);
 }
 
+// A departure on a saturated side is absorbed by the local patch only when
+// every other flow there has a strictly smaller share. A flow tied at the top
+// share must trigger a solve, or its tie partner would never rise into the
+// freed capacity — whether the departing flow's id is below or above the
+// partner's. Two flows out of machine 0 split its egress 50/50; the short one
+// finishes at t=2, and the long one must then run at 100 B/s (done at t=3),
+// not stay at 50 B/s (t=4).
+void ExpectTiedTopShareDepartureIsNotPatched(bool departing_has_lower_id) {
+  Simulation sim;
+  NetworkFabricSim fabric(&sim, 3, monoutil::BytesPerSecond(100.0));
+  uint64_t patched_at_departure = ~uint64_t{0};
+  double long_done_at = -1.0;
+  const auto start_short = [&] {
+    return fabric.StartFlow(0, 1, Bytes(100), [&] {
+      patched_at_departure = fabric.solver_stats().patched_departures;
+    });
+  };
+  const auto start_long = [&] {
+    return fabric.StartFlow(0, 2, Bytes(200), [&] { long_done_at = sim.now().seconds(); });
+  };
+  NetworkFabricSim::FlowId short_id;
+  NetworkFabricSim::FlowId long_id;
+  if (departing_has_lower_id) {
+    short_id = start_short();
+    long_id = start_long();
+  } else {
+    long_id = start_long();
+    short_id = start_short();
+  }
+  EXPECT_EQ(departing_has_lower_id, short_id < long_id);
+  ASSERT_EQ(fabric.flow_rate(short_id), fabric.flow_rate(long_id));  // An exact tie.
+  sim.Run();
+  EXPECT_EQ(patched_at_departure, 0u);
+  EXPECT_NEAR(long_done_at, 3.0, 1e-9);
+}
+
+TEST(NetworkFabricTest, TiedTopShareDepartureWithLowerIdIsNotPatched) {
+  ExpectTiedTopShareDepartureIsNotPatched(/*departing_has_lower_id=*/true);
+}
+
+TEST(NetworkFabricTest, TiedTopShareDepartureWithHigherIdIsNotPatched) {
+  ExpectTiedTopShareDepartureIsNotPatched(/*departing_has_lower_id=*/false);
+}
+
+TEST(NetworkFabricTest, SoleFlowDepartureIsPatched) {
+  // A flow alone on its (saturated) sides leaves nobody bottlenecked behind it,
+  // so its departure needs no solve. An unrelated flow keeps the fabric busy.
+  Simulation sim;
+  NetworkFabricSim fabric(&sim, 4, monoutil::BytesPerSecond(100.0));
+  fabric.StartFlow(2, 3, Bytes(1000), [] {});
+  uint64_t patched_at_departure = 0;
+  uint64_t batched_at_departure = ~uint64_t{0};
+  const auto sole = fabric.StartFlow(0, 1, Bytes(100), [&] {
+    patched_at_departure = fabric.solver_stats().patched_departures;
+    batched_at_departure = fabric.solver_stats().batched_changes;
+  });
+  EXPECT_EQ(fabric.flow_rate(sole), monoutil::BytesPerSecond(100.0));
+  sim.Run();
+  EXPECT_EQ(patched_at_departure, 1u);
+  EXPECT_EQ(batched_at_departure, 0u);
+}
+
+TEST(NetworkFabricTest, ArrivalBelowASaturatedSidesTopShareFallsBackToASolve) {
+  // Flows 2->1, 2->3, 2->4 split machine 2's egress at 100/3, so 0->1 takes the
+  // rest of machine 1's ingress: 200/3, leaving 100/3 of machine 0's egress
+  // free. A new flow 0->5 fits that free capacity, but would saturate machine
+  // 0's egress below 0->1's larger share; max-min instead levels both at 50,
+  // so the arrival must not be patched in at 100/3.
+  Simulation sim;
+  NetworkFabricSim fabric(&sim, 6, monoutil::BytesPerSecond(100.0));
+  const auto big = fabric.StartFlow(0, 1, Bytes(1000), [] {});
+  fabric.StartFlow(2, 1, Bytes(1000), [] {});
+  fabric.StartFlow(2, 3, Bytes(1000), [] {});
+  fabric.StartFlow(2, 4, Bytes(1000), [] {});
+  ASSERT_NEAR(fabric.flow_rate(big).bps(), 200.0 / 3.0, 1e-9);
+  const uint64_t patched_before = fabric.solver_stats().patched_arrivals;
+  const auto arrival = fabric.StartFlow(0, 5, Bytes(1000), [] {});
+  EXPECT_EQ(fabric.solver_stats().patched_arrivals, patched_before);
+  EXPECT_NEAR(fabric.flow_rate(arrival).bps(), 50.0, 1e-9);
+  EXPECT_NEAR(fabric.flow_rate(big).bps(), 50.0, 1e-9);
+  sim.Run();
+}
+
 TEST(NetworkFabricTest, FlowRateIsMinOfEndpointShares) {
   // Receiver 3 carries two flows (shares: 50 each); sender 0 carries the 0->3 flow
   // plus another egress flow, so 0->3 also gets 50 from the sender side. Flow 1->3
