@@ -5,17 +5,15 @@
 // The cancel-churn scenarios run the same workload with tombstone compaction
 // disabled ("before": cancelled entries sit in the heap until their virtual time,
 // the behavior of the pre-compaction queue) and enabled ("after"), so the JSON
-// records events/sec before vs. after as a durable record of the change. The
-// fabric scenarios do the same for the legacy min-share model vs. the
-// work-conserving max-min fabric, pricing the fidelity fix.
+// records events/sec before vs. after as a durable record of the change.
 //
-// Each fabric scenario runs twice: bare, and with the invariant audit installed
-// (the "_audit" variants, equivalent to MONO_SIM_AUDIT=report). The audit sweeps
-// every epoch boundary, so solver speedups must be read off the variant they were
-// measured under — the env var alone used to be silently ignored here, masking
-// the audit's share of the cost. Fabric scenarios also record the incremental
-// solver's own counters (solves, flows touched, rate changes, patched/batched
-// deltas) so a throughput change can be attributed to solver work, not guessed.
+// The fabric churn scenario runs bare, with the invariant audit installed (the
+// "_audit" variant, equivalent to MONO_SIM_AUDIT=report), and with telemetry
+// off. The audit sweeps every epoch boundary, so solver speedups must be read
+// off the variant they were measured under. Fabric scenarios also record the
+// incremental solver's own counters (solves, flows touched, rate changes,
+// patched/batched deltas) so a throughput change can be attributed to solver
+// work, not guessed.
 //
 // Usage: simcore_bench [output.json]   (default ./BENCH_simcore.json)
 // MONO_BENCH_FILTER=<substring> runs only matching scenarios (profiling aid).
@@ -120,8 +118,7 @@ Scenario BenchCancelChurn(bool compaction, const char* name) {
 // This is the shuffle inner loop of the figure benches. With `audited` the full
 // invariant audit (including the max-min bottleneck certification) sweeps every
 // epoch boundary, as under MONO_SIM_AUDIT=report; a violation fails the bench.
-Scenario BenchFabricChurn(monosim::NetworkFabricSim::SharePolicy policy,
-                          const char* name, bool audited, bool telemetry = true) {
+Scenario BenchFabricChurn(const char* name, bool audited, bool telemetry = true) {
   constexpr int kMachines = 16;
   constexpr int kLanes = 64;
   constexpr int kFlowsPerLane = 400;
@@ -133,7 +130,6 @@ Scenario BenchFabricChurn(monosim::NetworkFabricSim::SharePolicy policy,
   sim.flight_recorder().set_enabled(telemetry);
   monosim::NetworkFabricSim fabric(&sim, kMachines,
                                    /*nic_bandwidth=*/monoutil::BytesPerSecond(1e8));
-  fabric.set_share_policy_for_test(policy);
   monoutil::Rng rng(7);
   size_t max_queue = 0;
   int completed = 0;
@@ -162,10 +158,7 @@ Scenario BenchFabricChurn(monosim::NetworkFabricSim::SharePolicy policy,
   sim.Run();
   const double seconds = Elapsed(start);
   const auto events = sim.fired_events();
-  // The legacy policy is *expected* to fail the max-min certification; only the
-  // max-min policy's audited run must come back clean.
-  if (audited && policy == monosim::NetworkFabricSim::SharePolicy::kMaxMinFair &&
-      !audit->audit().ok()) {
+  if (audited && !audit->audit().ok()) {
     std::cerr << name << ": audit violations\n" << audit->audit().Summary() << "\n";
     std::exit(1);
   }
@@ -295,7 +288,6 @@ int main(int argc, char** argv) {
   const auto wanted = [&](const char* name) {
     return filter.empty() || std::string(name).find(filter) != std::string::npos;
   };
-  using SharePolicy = monosim::NetworkFabricSim::SharePolicy;
   std::vector<Scenario> scenarios;
   const auto run_schedule_fire_on = [] {
     return BenchScheduleFire(true, "event_queue_schedule_fire");
@@ -327,23 +319,12 @@ int main(int argc, char** argv) {
         BenchCancelChurn(/*compaction=*/true, "cancel_churn_after_compaction"));
   }
   // Fabric scenarios. The pair-gated maxmin on/off twins are measured as an
-  // interleaved warmed pair (see BestOfPair); the rest run once (their
-  // baseline gates are generous enough for single measurements).
-  if (wanted("fabric_churn_legacy_minshare")) {
-    scenarios.push_back(BenchFabricChurn(SharePolicy::kMinShareLegacy,
-                                         "fabric_churn_legacy_minshare", false));
-  }
-  if (wanted("fabric_churn_legacy_minshare_audit")) {
-    scenarios.push_back(BenchFabricChurn(SharePolicy::kMinShareLegacy,
-                                         "fabric_churn_legacy_minshare_audit", true));
-  }
-  const auto run_maxmin_on = [] {
-    return BenchFabricChurn(SharePolicy::kMaxMinFair, "fabric_churn_maxmin", false);
-  };
+  // interleaved warmed pair (see BestOfPair); the audited run is measured once
+  // (its baseline gate is generous enough for a single measurement).
+  const auto run_maxmin_on = [] { return BenchFabricChurn("fabric_churn_maxmin", false); };
   const auto run_maxmin_off = [] {
     return WithTelemetryOff([] {
-      return BenchFabricChurn(SharePolicy::kMaxMinFair,
-                              "fabric_churn_maxmin_telemetry_off", false, false);
+      return BenchFabricChurn("fabric_churn_maxmin_telemetry_off", false, false);
     });
   };
   {
@@ -360,8 +341,7 @@ int main(int argc, char** argv) {
       scenarios.push_back(BestOf(3, run_maxmin_on));
     }
     if (wanted("fabric_churn_maxmin_audit")) {
-      scenarios.push_back(BenchFabricChurn(SharePolicy::kMaxMinFair,
-                                           "fabric_churn_maxmin_audit", true));
+      scenarios.push_back(BenchFabricChurn("fabric_churn_maxmin_audit", true));
     }
     if (pair.has_value()) {
       scenarios.push_back(std::move(pair->second));

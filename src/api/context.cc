@@ -813,10 +813,18 @@ std::vector<MonoContext::ShuffleSegment> MonoContext::RunToShuffle(
                        plan.reads_cogroup ? &right_shuffle : nullptr,
                        &shuffle_out, nullptr, std::string(), &metrics);
     runner.Run();
+    DeleteShuffleBlocks(shuffle_in);
+    DeleteShuffleBlocks(right_shuffle);
     last_metrics_.stages.push_back(std::move(metrics));
     shuffle_in = std::move(shuffle_out);
   }
   return shuffle_in;
+}
+
+void MonoContext::DeleteShuffleBlocks(const std::vector<ShuffleSegment>& segments) {
+  for (const ShuffleSegment& segment : segments) {
+    worker(segment.worker).disk(segment.disk).DeleteBlock(segment.block_id);
+  }
 }
 
 std::vector<Buffer> MonoContext::RunJob(const std::shared_ptr<const PlanNode>& root) {
@@ -859,6 +867,8 @@ std::vector<Buffer> MonoContext::Execute(const std::shared_ptr<const PlanNode>& 
                        (is_last && save_as.empty()) ? &collected : nullptr,
                        is_last ? save_as : std::string(), &metrics);
     runner.Run();
+    DeleteShuffleBlocks(shuffle_in);
+    DeleteShuffleBlocks(right_shuffle);
     last_metrics_.stages.push_back(std::move(metrics));
     shuffle_in = std::move(shuffle_out);
   }

@@ -99,6 +99,10 @@ class MonoContext {
       const std::shared_ptr<const PlanNode>& root,
       const std::function<std::vector<Buffer>(const Buffer&, int)>& partition_fn,
       int num_out_partitions);
+  // Deletes the shuffle blocks behind `segments` from their workers' disks.
+  // Shuffle blocks are job-local: once the stage that reads them returns they
+  // have no reader left.
+  void DeleteShuffleBlocks(const std::vector<ShuffleSegment>& segments);
 
   EngineConfig config_;
   std::unique_ptr<InProcessFabric> fabric_;

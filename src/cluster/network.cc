@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <numeric>
 #include <sstream>
 #include <utility>
 
@@ -16,15 +15,7 @@ namespace {
 
 constexpr double kCompletionEpsilonSeconds = 1e-9;
 
-// After this many boundary-expansion rounds the affected-set solve gives up and
-// re-solves the full closure: each round is a fresh sub-solve, so a cascade that
-// keeps pulling flows in costs more re-solved than collected outright. One
-// round means "try the seed set once": in a saturated fabric an expansion
-// almost always cascades through the whole component, so iterating sub-solves
-// loses to cutting straight to the full closure.
-constexpr int kMaxExpandRounds = 1;
-
-// How many fallback flushes may reuse a spanning closure before it is
+// How many flushes may reuse a spanning closure before it is
 // re-collected (see FlushPending): long enough to amortize the walk away,
 // short enough that a fabric that splits into components soon stops paying
 // for full-width solves.
@@ -183,7 +174,7 @@ void NetworkFabricSim::AuditInvariants(SimAudit& audit, AuditPhase phase) const 
     ingress_within = ingress_within && ingress_sum[mu] <= bw + eps;
     egress_within = egress_within && egress_sum[mu] <= bw + eps;
     // The incrementally-maintained rate sums must match the recomputed ground
-    // truth, or the solver's bases and the patches' decisions drift.
+    // truth, or the patches' decisions and the saturation telemetry drift.
     const double egress_rate_sum = side_rate_sum_[static_cast<size_t>(EgressKey(m))].bps();
     const double ingress_rate_sum = side_rate_sum_[static_cast<size_t>(IngressKey(m))].bps();
     rate_sums_ok = rate_sums_ok && std::abs(egress_rate_sum - egress_sum[mu]) <= eps &&
@@ -329,7 +320,7 @@ NetworkFabricSim::Flow* NetworkFabricSim::AllocFlow() {
   Flow* flow = free_flows_.back();
   free_flows_.pop_back();
   // Reset what recycling could leak into solver decisions: the stamp (so a
-  // stale membership mark can never alias a live flush), the completion key
+  // stale membership mark can never alias a live collection), the completion key
   // (negative = not yet indexed), and the rate the progress math starts from.
   flow->rate = monoutil::BytesPerSecond();
   flow->predicted_done = SimTime(-1.0);
@@ -341,14 +332,6 @@ NetworkFabricSim::Flow* NetworkFabricSim::FindFlow(FlowId id) const {
   const auto it = std::lower_bound(flows_by_id_.begin(), flows_by_id_.end(), id,
                                    [](const Flow* f, FlowId v) { return f->id < v; });
   return (it != flows_by_id_.end() && (*it)->id == id) ? *it : nullptr;
-}
-
-monoutil::BytesPerSecond NetworkFabricSim::LegacyMinShare(const Flow& flow) const {
-  const monoutil::BytesPerSecond egress_share =
-      nic_bandwidth_ / static_cast<double>(egress_count_[static_cast<size_t>(flow.src)]);
-  const monoutil::BytesPerSecond ingress_share =
-      nic_bandwidth_ / static_cast<double>(ingress_count_[static_cast<size_t>(flow.dst)]);
-  return std::min(egress_share, ingress_share);
 }
 
 NetworkFabricSim::FlowId NetworkFabricSim::StartFlowImpl(int src, int dst,
@@ -390,9 +373,7 @@ NetworkFabricSim::FlowId NetworkFabricSim::StartFlowImpl(int src, int dst,
   side_rate_sum_[static_cast<size_t>(IngressKey(dst))] += monoutil::BytesPerSecond();
   total_bytes_ += bytes;
 
-  if (share_policy_ == SharePolicy::kMinShareLegacy) {
-    RecomputeAffected(src, dst);
-  } else if (TryPatchArrival(raw)) {
+  if (TryPatchArrival(raw)) {
     ++stats_.patched_arrivals;
   } else {
     ++stats_.batched_changes;
@@ -539,12 +520,6 @@ void NetworkFabricSim::SolveMaxMin(const std::vector<Flow*>& component,
       slot_consumed_.resize(needed);
       slot_unfrozen_.resize(needed);
       slot_cap_.resize(needed);
-      slot_base_.resize(needed);
-      slot_unaffected_max_.resize(needed);
-      slot_level_.resize(needed);
-      slot_total_.resize(needed);
-      slot_max_affected_.resize(needed);
-      slot_keys_.resize(needed);
     }
   };
   if (identity_slots) {
@@ -559,18 +534,14 @@ void NetworkFabricSim::SolveMaxMin(const std::vector<Flow*>& component,
     const auto ns = static_cast<size_t>(num_slots);
     grow_slot_arrays(ns);
     std::fill(slot_unfrozen_.begin(), slot_unfrozen_.begin() + num_slots, 0);
-    std::fill(slot_base_.begin(), slot_base_.begin() + num_slots, 0.0);
-    std::iota(slot_keys_.begin(), slot_keys_.begin() + num_slots, 0);
+    std::fill(slot_consumed_.begin(), slot_consumed_.begin() + num_slots, 0.0);
     for (size_t i = 0; i < n; ++i) {
       const auto e = static_cast<size_t>(EgressKey(component[i]->src));
       const auto g = static_cast<size_t>(IngressKey(component[i]->dst));
       egress_slot_[i] = static_cast<int>(e);
       ingress_slot_[i] = static_cast<int>(g);
-      const double rate = component[i]->rate.bps();
       ++slot_unfrozen_[e];
-      slot_base_[e] += rate;
       ++slot_unfrozen_[g];
-      slot_base_[g] += rate;
     }
   } else {
     auto slot = [&](int key) {
@@ -581,19 +552,15 @@ void NetworkFabricSim::SolveMaxMin(const std::vector<Flow*>& component,
         slot_of_[k] = s;
         grow_slot_arrays(static_cast<size_t>(num_slots));
         slot_unfrozen_[static_cast<size_t>(s)] = 0;
-        slot_base_[static_cast<size_t>(s)] = 0.0;  // Affected-rate sum until the base pass below.
-        slot_level_[static_cast<size_t>(s)] = std::numeric_limits<double>::infinity();
-        slot_keys_[static_cast<size_t>(s)] = key;
+        slot_consumed_[static_cast<size_t>(s)] = 0.0;
       }
       return slot_of_[k];
     };
     for (size_t i = 0; i < n; ++i) {
       egress_slot_[i] = slot(EgressKey(component[i]->src));
       ingress_slot_[i] = slot(IngressKey(component[i]->dst));
-      for (const int s : {egress_slot_[i], ingress_slot_[i]}) {
-        ++slot_unfrozen_[static_cast<size_t>(s)];
-        slot_base_[static_cast<size_t>(s)] += component[i]->rate.bps();
-      }
+      ++slot_unfrozen_[static_cast<size_t>(egress_slot_[i])];
+      ++slot_unfrozen_[static_cast<size_t>(ingress_slot_[i])];
     }
   }
   // Slot -> flow-index adjacency in CSR form (offsets plus one flat array) —
@@ -615,26 +582,6 @@ void NetworkFabricSim::SolveMaxMin(const std::vector<Flow*>& component,
     slot_adj_[static_cast<size_t>(slot_cursor_[static_cast<size_t>(ingress_slot_[i])]++)] =
         static_cast<int>(i);
   }
-  // Flows outside the component keep their current rates: they reduce the
-  // capacity the progressive fill distributes through their side. Their sum is
-  // derived from the side's incrementally-maintained rate sum minus the
-  // component flows' (still-old) rates, so no flow outside the component is
-  // ever dereferenced here. A side the component covers completely gets a base
-  // of exactly 0.0 — not the FP residue of the subtraction — so a full-closure
-  // solve reproduces a from-scratch pass bit for bit (and ApplyRate's
-  // skip-unchanged test keeps working across re-solves).
-  for (int s = 0; s < num_slots; ++s) {
-    const auto su = static_cast<size_t>(s);
-    const int key = slot_keys_[su];
-    const double base =
-        SideFlows(key).size() ==
-                static_cast<size_t>(slot_adj_offset_[su + 1] - slot_adj_offset_[su])
-            ? 0.0
-            : std::max(0.0, side_rate_sum_[static_cast<size_t>(key)].bps() - slot_base_[su]);
-    slot_base_[su] = base;
-    slot_consumed_[su] = base;
-  }
-
   // Progressive filling: each side carries the common fill level at which it
   // would saturate, cached in slot_cap_ and re-derived only when a frozen flow
   // changes its consumption. Each round scans the flat cap array for the
@@ -685,7 +632,6 @@ void NetworkFabricSim::SolveMaxMin(const std::vector<Flow*>& component,
     // Caps are non-decreasing as flows freeze elsewhere, so the chosen side
     // saturates at cap >= level; the max() only guards FP rounding.
     level = std::max(level, best);
-    slot_level_[static_cast<size_t>(s)] = level;
     for (int a = slot_adj_offset_[static_cast<size_t>(s)];
          a < slot_adj_offset_[static_cast<size_t>(s) + 1]; ++a) {
       const int idx = slot_adj_[static_cast<size_t>(a)];
@@ -710,51 +656,6 @@ void NetworkFabricSim::SolveMaxMin(const std::vector<Flow*>& component,
     slot_unfrozen_[static_cast<size_t>(s)] = 0;
     slot_cap_[static_cast<size_t>(s)] = std::numeric_limits<double>::infinity();
   }
-}
-
-void NetworkFabricSim::RecordSlotTotals(const std::vector<double>& new_rates) {
-  // Leave each side's post-solve totals behind for the boundary expansion
-  // check: base consumption plus the freshly solved rates, and the top solved
-  // share. Only the affected-set path pays for this — fallback solves have no
-  // boundary to check. Slots are numbered densely in first-seen order, so the
-  // solve's slot count is the max slot index any flow carries, plus one.
-  const size_t n = new_rates.size();
-  int num_slots = 0;
-  for (size_t i = 0; i < n; ++i) {
-    num_slots = std::max({num_slots, egress_slot_[i] + 1, ingress_slot_[i] + 1});
-  }
-  for (int s = 0; s < num_slots; ++s) {
-    slot_total_[static_cast<size_t>(s)] = slot_base_[static_cast<size_t>(s)];
-    slot_max_affected_[static_cast<size_t>(s)] = 0.0;
-  }
-  for (size_t i = 0; i < n; ++i) {
-    const double rate = new_rates[i];
-    for (const int s : {egress_slot_[i], ingress_slot_[i]}) {
-      slot_total_[static_cast<size_t>(s)] += rate;
-      slot_max_affected_[static_cast<size_t>(s)] =
-          std::max(slot_max_affected_[static_cast<size_t>(s)], rate);
-    }
-  }
-}
-
-bool NetworkFabricSim::CertifiedAfterSolve(const Flow& flow, double eps) const {
-  for (const int key : {EgressKey(flow.src), IngressKey(flow.dst)}) {
-    const auto k = static_cast<size_t>(key);
-    double sum;
-    double top;
-    if (slot_stamp_[k] == solve_stamp_) {
-      const auto s = static_cast<size_t>(slot_of_[k]);
-      sum = slot_total_[s];
-      top = std::max(slot_max_affected_[s], slot_unaffected_max_[s]);
-    } else {
-      sum = side_rate_sum_[k].bps();
-      top = TopShare(key);
-    }
-    if (sum >= nic_bandwidth_.bps() - eps && flow.rate.bps() >= top - eps) {
-      return true;
-    }
-  }
-  return false;
 }
 
 double NetworkFabricSim::TopShare(int key, const Flow* except) const {
@@ -881,6 +782,15 @@ void NetworkFabricSim::SkewCompletionEntryForTest(size_t slot, monoutil::SimTime
   completions_[slot].at += delta;
 }
 
+void NetworkFabricSim::LowerFlowRateForTest(FlowId id, monoutil::BytesPerSecond rate) {
+  FlushPending();
+  Flow* flow = FindFlow(id);
+  MONO_CHECK(flow != nullptr);
+  MONO_CHECK(rate > monoutil::BytesPerSecond(0) && rate < flow->rate);
+  ApplyRate(flow, rate);
+  UpdateCompletionTimer();
+}
+
 void NetworkFabricSim::UpdateCompletionTimer() {
   const SimTime want = completions_.empty() ? SimTime(-1.0) : completions_.front().at;
   if (want == next_completion_time_ && (want < SimTime() || next_completion_.pending())) {
@@ -923,180 +833,46 @@ void NetworkFabricSim::FlushPending() {
     }
   }
 
-  const double bw = nic_bandwidth_.bps();
-  const double eps = 1e-9 * std::max(1.0, bw);
-  // Cascade gate, checked before any seeding work: when a changed side is
-  // saturated, the batched arrivals and departures re-level it, every flow
-  // crossing it adjusts, and the adjustment propagates through those flows'
-  // other sides — in a loaded fabric the whole component re-solves and the
-  // affected-set attempt is a wasted round. Only genuinely local changes
-  // (every dirty side running below capacity, so existing shares can stand)
-  // pay for seeding an affected set; saturated-side churn goes straight to
-  // the full-closure solve without stamping a single flow. A dirty side's
-  // *neighbors* may still be saturated — the sub-solve handles that (flows
-  // pinned there hold their level) and the boundary check keeps it honest.
-  bool try_local = true;
-  for (const int key : dirty_sides_) {
-    if (side_rate_sum_[static_cast<size_t>(key)].bps() >= bw - eps) {
-      try_local = false;
-      break;
-    }
-  }
-
-  std::vector<Flow*>& affected = component_scratch_;
-  affected.clear();
-  bool solved = false;
-  if (try_local) {
-    // Seed the affected set with every flow on a changed side: those are the
-    // only flows a batched arrival or departure constrains directly. Everything
-    // else is presumed to keep its rate until the boundary check below proves
-    // otherwise. Membership is tracked by one visit stamp per flush, shared
-    // between flows and sides, so joining is O(1) and nothing needs clearing.
-    ++visit_stamp_;
-    affected_sides_.clear();
-    auto add_side = [&](int key) {
-      if (side_visit_stamp_[static_cast<size_t>(key)] != visit_stamp_) {
-        side_visit_stamp_[static_cast<size_t>(key)] = visit_stamp_;
-        affected_sides_.push_back(key);
-      }
-    };
-    auto add_flow = [&](Flow* flow) {
-      if (flow->visit_stamp != visit_stamp_) {
-        flow->visit_stamp = visit_stamp_;
-        affected.push_back(flow);
-        add_side(EgressKey(flow->src));
-        add_side(IngressKey(flow->dst));
-      }
-    };
-    for (const int key : dirty_sides_) {
-      add_side(key);
-      for (Flow* flow : SideFlows(key)) {
-        add_flow(flow);
-      }
-    }
-    // Second gate, over the seeded flows' *other* sides: a saturated neighbor
-    // pins the seeded flows at its level, and re-leveling it drags its own
-    // flows along — the sub-solve would expand and fall back anyway, so skip
-    // straight there rather than paying a doomed round.
-    for (const int key : affected_sides_) {
-      if (side_rate_sum_[static_cast<size_t>(key)].bps() >= bw - eps) {
-        try_local = false;
-        break;
-      }
-    }
-    for (int round = 0; try_local && round < kMaxExpandRounds &&
-                        2 * affected.size() <= flows_by_id_.size();
-         ++round) {
-      // Canonical order: rates are solved — and below, applied and their
-      // completion events rescheduled — in ascending flow id, so the event
-      // schedule (and the run digest) depends only on the flow set, never on
-      // the traversal order that discovered it. Sorting the solve input also
-      // canonicalizes the solver's floating-point evaluation order, which is
-      // what lets a re-solve of an unchanged sub-structure reproduce rates
-      // bit-for-bit (and ApplyRate skip them).
-      SortByFlowId(&affected);
-      SolveMaxMin(affected, &rates_scratch_);
-      RecordSlotTotals(rates_scratch_);
-      ++stats_.solves;
-      stats_.flows_touched += affected.size();
-
-      // Boundary expansion: the sub-solve is the true max-min allocation only
-      // if every fixed flow stays certified. A fixed flow must join the set
-      // when it out-ranks the new level of a side that froze flows (the solve
-      // wrongly treated its over-sized share as immovable), or when no side
-      // certifies its rate any more (capacity it should claim was freed, or
-      // the side whose level pinned it moved). Joined flows make their sides
-      // affected too; the next round re-solves the grown set. No join means
-      // the allocation passes exactly the certification the audit sweep
-      // checks, so the fixpoint is sound by the same iff-characterization of
-      // max-min fairness.
-      //
-      // Both passes walk the affected sides' flow lists. A flow is in the
-      // solved set iff it carries this flush's visit stamp (flows joined below
-      // carry it too, and are skipped the same way); fixed flows are read at
-      // their current, pre-solve rates.
-      const size_t sides_at_solve = affected_sides_.size();
-      for (size_t si = 0; si < sides_at_solve; ++si) {
-        const int key = affected_sides_[si];
-        if (slot_stamp_[static_cast<size_t>(key)] != solve_stamp_) {
-          continue;  // A changed side no flow crosses any more (e.g. emptied by a departure).
-        }
-        const auto s = static_cast<size_t>(slot_of_[static_cast<size_t>(key)]);
-        double unaffected_max = 0.0;
-        for (const Flow* flow : SideFlows(key)) {
-          if (flow->visit_stamp != visit_stamp_) {
-            unaffected_max = std::max(unaffected_max, flow->rate.bps());
-          }
-        }
-        slot_unaffected_max_[s] = unaffected_max;
-      }
-      bool expanded = false;
-      for (size_t si = 0; si < sides_at_solve; ++si) {
-        const int key = affected_sides_[si];
-        if (slot_stamp_[static_cast<size_t>(key)] != solve_stamp_) {
-          continue;
-        }
-        const auto s = static_cast<size_t>(slot_of_[static_cast<size_t>(key)]);
-        const double level = slot_level_[s];
-        const bool saturated = slot_total_[s] >= bw - eps;
-        const double top = std::max(slot_max_affected_[s], slot_unaffected_max_[s]);
-        for (Flow* flow : SideFlows(key)) {
-          if (flow->visit_stamp == visit_stamp_) {
-            continue;  // Solved, or joined through another side this round.
-          }
-          const double rate = flow->rate.bps();
-          if (rate <= level + eps && saturated && rate >= top - eps) {
-            continue;  // Certified at this side.
-          }
-          if (rate > level + eps || !CertifiedAfterSolve(*flow, eps)) {
-            add_flow(flow);
-            expanded = true;
-          }
-        }
-      }
-      if (!expanded) {
-        solved = true;
-        break;
-      }
-    }
-  }
-  if (!solved) {
-    // The affected set cascaded (or the gate said it would): one full-closure
-    // solve costs less than further expansion rounds, and is always sufficient
-    // (rates outside the connected component of the changed sides cannot
-    // move — and the closure from the dirty sides equals the closure from any
-    // expanded side set, since joined sides are reached through shared flows).
-    // When the last collected closure spanned every live flow — a loaded
-    // fabric is usually one connected component — later fallbacks skip the
-    // collection walk and solve the full flow list directly: a superset solve
-    // is always correct (disjoint components fill independently under the
-    // global-min bottleneck selection, and unchanged rates are skipped on
-    // apply), it is just wasted width if the fabric has since split, so the
-    // closure is re-collected every few dozen flushes to revalidate.
-    bool spanning = false;
-    if (spanning_revalidate_ > 0) {
-      --spanning_revalidate_;
-      affected.assign(flows_by_id_.begin(), flows_by_id_.end());
+  // The closure of the dirty sides is the only part of the fabric whose rates
+  // can move, and a from-scratch solve of it is the max-min allocation. When
+  // the last collected closure spanned every live flow — a loaded fabric is
+  // usually one connected component — the next flushes skip the collection
+  // walk and solve the full flow list directly: a superset solve is always
+  // correct (disjoint components fill independently under the global-min
+  // bottleneck selection, and unchanged rates are skipped on apply), it is
+  // just wasted width if the fabric has since split, so the closure is
+  // re-collected every few dozen flushes to revalidate.
+  //
+  // Canonical order: rates are solved — and below, applied and their
+  // completions re-keyed — in ascending flow id, so the event schedule (and
+  // the run digest) depends only on the flow set, never on the traversal order
+  // that discovered it. It also canonicalizes the solver's floating-point
+  // evaluation order, which is what lets a re-solve of an unchanged
+  // sub-structure reproduce rates bit-for-bit (and ApplyRate skip them).
+  std::vector<Flow*>& component = component_scratch_;
+  bool spanning = false;
+  if (spanning_revalidate_ > 0) {
+    --spanning_revalidate_;
+    component.assign(flows_by_id_.begin(), flows_by_id_.end());
+    spanning = true;
+  } else {
+    CollectFromSides(dirty_sides_, &component);
+    if (component.size() == flows_by_id_.size()) {
+      spanning_revalidate_ = kSpanningRevalidateInterval;
+      component.assign(flows_by_id_.begin(), flows_by_id_.end());
       spanning = true;
     } else {
-      CollectFromSides(dirty_sides_, &affected);
-      if (affected.size() == flows_by_id_.size()) {
-        spanning_revalidate_ = kSpanningRevalidateInterval;
-        affected.assign(flows_by_id_.begin(), flows_by_id_.end());
-        spanning = true;
-      } else {
-        SortByFlowId(&affected);
-      }
+      SortByFlowId(&component);
     }
-    SolveMaxMin(affected, &rates_scratch_, /*identity_slots=*/spanning);
-    ++stats_.solves;
-    stats_.flows_touched += affected.size();
   }
+  SolveMaxMin(component, &rates_scratch_, /*identity_slots=*/spanning);
+  ++stats_.solves;
+  stats_.flows_touched += component.size();
   dirty_sides_.clear();
   ++dirty_stamp_;
 
-  for (size_t i = 0; i < affected.size(); ++i) {
-    Flow* flow = affected[i];
+  for (size_t i = 0; i < component.size(); ++i) {
+    Flow* flow = component[i];
     // Same skip ApplyRate makes, hoisted: most of a re-solved component keeps
     // its rates bit-for-bit, so the call itself is the cost worth dodging.
     if (monoutil::BytesPerSecond(rates_scratch_[i]) == flow->rate &&
@@ -1107,33 +883,10 @@ void NetworkFabricSim::FlushPending() {
   }
   UpdateCompletionTimer();
   if (trace_enabled_ || monotrace::Tracer::current() != nullptr) {
-    for (const Flow* flow : affected) {
+    for (const Flow* flow : component) {
       touched_scratch_.push_back(flow->dst);
     }
     RecordIngressTouched(touched_scratch_);
-  }
-}
-
-void NetworkFabricSim::RecomputeAffected(int src, int dst) {
-  // Eager legacy-policy path: rates can only change inside the connected
-  // component(s) of the flow-sharing graph that touch the changed endpoints.
-  std::vector<Flow*> component;
-  CollectFromSides({EgressKey(src), IngressKey(dst)}, &component);
-  for (Flow* flow : component) {
-    ApplyRate(flow, LegacyMinShare(*flow));
-  }
-  UpdateCompletionTimer();
-  std::vector<int> touched_ingress;
-  touched_ingress.push_back(dst);  // Record even when the last flow just departed.
-  for (const Flow* flow : component) {
-    touched_ingress.push_back(flow->dst);
-  }
-  RecordIngressTouched(touched_ingress);
-  // Audit eagerly, as the eager path historically did: the allocations this
-  // policy strands exist *between* a change and the next epoch boundary (the
-  // epoch-boundary sweep only sees the state after in-flight departures).
-  if (SimAudit* audit = SimAudit::current()) {
-    AuditInvariants(*audit, AuditPhase::kEventBoundary);
   }
 }
 
@@ -1175,8 +928,7 @@ void NetworkFabricSim::OnFlowComplete(FlowId id) {
   InlineCallback done = std::move(flow->done);
   // Decide on the local patch while the departing flow still counts in its
   // sides' lists and rate sums (the decision reads both).
-  const bool patched =
-      share_policy_ == SharePolicy::kMaxMinFair && CanPatchDeparture(*flow);
+  const bool patched = CanPatchDeparture(*flow);
 
   auto erase_from = [](std::vector<Flow*>& list, Flow* target) {
     list.erase(std::remove(list.begin(), list.end(), target), list.end());
@@ -1205,9 +957,7 @@ void NetworkFabricSim::OnFlowComplete(FlowId id) {
   // into locals above).
   FreeFlow(flow);
 
-  if (share_policy_ == SharePolicy::kMinShareLegacy) {
-    RecomputeAffected(src, dst);
-  } else if (patched) {
+  if (patched) {
     ++stats_.patched_departures;
     RecordIngressTouched({dst});
   } else {

@@ -15,8 +15,9 @@
 // with flows m0→m1, m0→m1, m0→m2, m4→m2 it gave the fourth flow bw/2 where max-min
 // gives 2bw/3 — distorting exactly the asymmetric shuffle-fetch patterns that
 // distinguish Spark's many-concurrent-fetch behaviour from the monotasks
-// receiver-driven scheduler (§3.4). It is kept, test-only, as
-// SharePolicy::kMinShareLegacy so the audit layer can demonstrate catching it.
+// receiver-driven scheduler (§3.4). The audit's max-min-bottleneck check bounds
+// rates from below and catches such a stranded rate; the test-only
+// LowerFlowRateForTest hook plants one to demonstrate it.
 //
 // Incremental solving is organised around three mechanisms (DESIGN §4):
 //
@@ -28,26 +29,22 @@
 //    callers never observe the transient mid-epoch state.
 //  * Side rate sums. Every NIC side keeps only the running sum of its flows'
 //    rates, updated in O(1) per rate change. The few decisions that need a
-//    side's top share (the pruning patches and the boundary check below) scan
-//    that side's flow list, which carries a handful of flows: a rare short
-//    scan costs less than keeping every side sorted through every rate change.
-//  * Bottleneck-set pruning. A single arrival or departure whose delta provably
-//    cannot change the saturated-side structure is absorbed by a local patch
-//    instead of any re-solve: an arrival that fits the free capacity of both
-//    its sides with no larger share on a side it saturates, or a departure
-//    whose rate strictly exceeds every other flow's on each of its saturated
-//    sides (so nobody was bottlenecked behind it). When a re-solve is
-//    needed it is still pruned to the *affected set*, not the whole connected
-//    component: the flows on the changed sides are re-solved as a sub-problem in
-//    which every other flow is fixed consumption, and the boundary is then
-//    checked against the max-min certification — any fixed flow that the new
-//    levels prove mis-ranked (it out-ranks a saturated side's new level, or no
-//    side certifies its rate any more) joins the set and the sub-solve repeats.
-//    The fixpoint is exactly the audit's bottleneck certification, so pruned
-//    solutions are certified by construction — see DESIGN §4 and §8. If the set
-//    keeps growing the solver falls back to the full closure (every flow
-//    transitively sharing a NIC side with a changed endpoint — rates outside
-//    that component cannot change, so the fallback is always sufficient).
+//    side's top share (the local patches below) scan that side's flow list,
+//    which carries a handful of flows: a rare short scan costs less than
+//    keeping every side sorted through every rate change.
+//  * Local patches and closure solves. A single arrival or departure whose
+//    delta provably cannot change the saturated-side structure is absorbed by a
+//    local patch instead of any re-solve: an arrival that fits the free
+//    capacity of both its sides with no larger share on a side it saturates, or
+//    a departure whose rate strictly exceeds every other flow's on each of its
+//    saturated sides (so nobody was bottlenecked behind it). Every other change
+//    is batched, and the flush solves the closure of the dirty sides — every
+//    flow transitively sharing a NIC side with a changed endpoint — from
+//    scratch. Rates outside that connected component cannot change, so the
+//    closure is always sufficient, and a from-scratch solve is max-min fair by
+//    construction (DESIGN §8). A loaded fabric is usually one component: once a
+//    collected closure spans every live flow, the next few dozen flushes solve
+//    the whole flow list directly and skip the collection walk.
 //
 // Completion events go through a fabric-owned index rather than the simulation
 // queue: each flow's predicted completion time lives in an indexed binary
@@ -55,7 +52,7 @@
 // single "next completion" event tracks the minimum. A rate change then re-keys
 // the flow with one O(log n) sift instead of cancelling and rescheduling a
 // per-flow simulation event — the dominant cost of churn once solving itself
-// is pruned, since a max-min cascade re-times many completions per delta. Rates
+// is batched, since a max-min cascade re-times many completions per delta. Rates
 // are solved and applied in ascending flow-id order, and the heap pops in
 // ascending (time, id) order, so the event schedule (and the run digest) never
 // depends on traversal order.
@@ -97,18 +94,6 @@ class NetworkFabricSim : public Auditable {
 
   using FlowId = uint64_t;
 
-  // How NIC bandwidth is divided among flows. kMaxMinFair is the model;
-  // kMinShareLegacy reinstates the historical min-of-equal-shares shortcut (which
-  // strands capacity under asymmetric fan-in) so tests can demonstrate that the
-  // max-min-bottleneck audit detects it. The legacy policy re-solves eagerly per
-  // change (no batching or pruning), preserving the historical cost profile the
-  // benches compare against.
-  enum class SharePolicy {
-    kMaxMinFair,
-    kMinShareLegacy,
-  };
-  void set_share_policy_for_test(SharePolicy policy) { share_policy_ = policy; }
-
   // Starts a bulk data flow of `bytes` from machine `src` to machine `dst` (src !=
   // dst); `done` (any void() callable; oversize captures draw pooled storage
   // from the owning simulation's arena) fires when the last byte arrives.
@@ -149,7 +134,7 @@ class NetworkFabricSim : public Auditable {
 
   // Solver instrumentation, reset-free counters for the benches: how often the
   // progressive-filling solver actually ran, how many flows it touched, and how
-  // much work the batching/pruning layers absorbed. `flows_touched` counts flows
+  // much work the batching and patch layers absorbed. `flows_touched` counts flows
   // per solve, so touched/solves is the mean re-solved component size.
   struct SolverStats {
     uint64_t solves = 0;             // Progressive-filling passes run.
@@ -192,6 +177,12 @@ class NetworkFabricSim : public Auditable {
   // the flow's own predicted completion time.
   void SkewCompletionEntryForTest(size_t slot, monoutil::SimTime delta);
 
+  // Test-only corruption for the max-min-bottleneck negative test: flushes
+  // pending epoch work, then installs `rate` (positive, below the flow's
+  // current rate) on flow `id` through ApplyRate, so the side rate sums and the
+  // completion heap stay consistent and only the stranded capacity is wrong.
+  void LowerFlowRateForTest(FlowId id, monoutil::BytesPerSecond rate);
+
  private:
   struct Flow {
     FlowId id;
@@ -208,7 +199,7 @@ class NetworkFabricSim : public Auditable {
     // assigned a rate, or already popped for completion).
     SimTime predicted_done{-1.0};
     size_t completion_slot = 0;
-    uint64_t visit_stamp = 0;  // Affected-set membership stamp (one stamp per flush).
+    uint64_t visit_stamp = 0;  // Closure membership stamp (one stamp per collection).
   };
 
   static int EgressKey(int machine) { return 2 * machine; }
@@ -219,12 +210,10 @@ class NetworkFabricSim : public Auditable {
   void MarkDirty(int src, int dst);
   void MarkSideDirty(int side_key);
 
-  // Runs the deferred epoch work, if any: seeds the affected set from the dirty
-  // sides, sub-solves it (unaffected flows held as fixed consumption), expands
-  // the set through the certification boundary check until it reaches a
-  // fixpoint (or falls back to the full closure), applies the rates in
-  // ascending flow-id order, and records the touched ingress traces.
-  // Idempotent; no-op when clean.
+  // Runs the deferred epoch work, if any: collects the closure of the dirty
+  // sides (or reuses the full flow list while a recent closure spanned it),
+  // solves it from scratch, applies the rates in ascending flow-id order, and
+  // records the touched ingress traces. Idempotent; no-op when clean.
   void FlushPending();
   // Const-context flush for the rate queries and the audit: pending epoch work is
   // deferred evaluation of state the caller is about to read, not a logical
@@ -238,11 +227,6 @@ class NetworkFabricSim : public Auditable {
   // provably leaves every remaining rate unchanged.
   bool TryPatchArrival(Flow* flow);
   bool CanPatchDeparture(const Flow& flow) const;
-
-  // Re-derives the rate of every flow in the connected component(s) of the
-  // flow-sharing graph touching `src`'s egress or `dst`'s ingress side, eagerly.
-  // Legacy-policy path only; the max-min policy batches via MarkDirty/FlushPending.
-  void RecomputeAffected(int src, int dst);
 
   // All flows transitively sharing a NIC side with the seed sides, appended to
   // `component` (which is cleared first).
@@ -260,33 +244,18 @@ class NetworkFabricSim : public Auditable {
   void SortByFlowId(std::vector<Flow*>* flows);
 
   // Progressive-filling max-min rates for `component`, written into `new_rates`
-  // (parallel to `component`). Flows *not* in `component` (those not carrying
-  // the current visit stamp) are held at their existing rates: each slot's
-  // capacity is reduced by their consumption, which is what lets FlushPending
-  // solve a pruned affected set instead of the whole closure. A full-closure
-  // component has no such flows on any of its sides, so its base reductions are
-  // exactly zero and the solve is identical to a from-scratch pass. The next
-  // bottleneck side is found through an ordered frontier of (saturation level,
-  // side) candidates, re-keyed in O(log n) as flows freeze, rather than
-  // rescanning the component per round. Non-const: the slot table and frontier
-  // live in persistent scratch members so the per-epoch solve does not pay a
-  // fresh round of allocations; the per-slot levels, totals and maxima are left
-  // behind for the boundary expansion check. With `identity_slots` the caller
-  // vouches that `component` spans every live flow; slots are then the side
-  // keys themselves and the stamped side->slot map is skipped entirely.
+  // (parallel to `component`). `component` must be closed under side sharing
+  // (a closure, or every live flow): each of its sides starts with its full
+  // bandwidth and no fixed consumption, so the result is a from-scratch solve
+  // whatever rates the flows held before. Each round freezes the flows of the
+  // side with the lowest saturation level, found by scanning the per-slot
+  // level cache. Non-const: the slot table lives in persistent scratch members
+  // so the per-epoch solve does not pay a fresh round of allocations. With
+  // `identity_slots` the caller vouches that `component` spans every live
+  // flow; slots are then the side keys themselves and the stamped side->slot
+  // map is skipped entirely.
   void SolveMaxMin(const std::vector<Flow*>& component, std::vector<double>* new_rates,
-                   bool identity_slots = false);
-
-  // Fills slot_total_ / slot_max_affected_ from the last solve's rates, for the
-  // boundary expansion check. Split out of SolveMaxMin so fallback solves —
-  // which have no boundary to check — skip it.
-  void RecordSlotTotals(const std::vector<double>& new_rates);
-
-  // After a sub-solve: true if some side of `flow` still certifies its (fixed)
-  // rate — saturated, with `flow` holding a maximal share. Sides in the solve
-  // are read from the solver's per-slot results, untouched sides from their
-  // rate sum and flow list (which the solve cannot have changed).
-  bool CertifiedAfterSolve(const Flow& flow, double eps) const;
+                   bool identity_slots);
 
   // The largest rate among the flows crossing side `key`, skipping `except`;
   // zero when no other flow crosses it.
@@ -352,7 +321,6 @@ class NetworkFabricSim : public Auditable {
   void FreeFlow(Flow* flow) { free_flows_.push_back(flow); }
   Flow* FindFlow(FlowId id) const;
 
-  monoutil::BytesPerSecond LegacyMinShare(const Flow& flow) const;
   void RecordIngressRates(const std::vector<int>& machines);
 
   // Advances the side-time integrals to `now` under the current busy/saturated
@@ -402,7 +370,6 @@ class NetworkFabricSim : public Auditable {
   SimTime next_completion_time_{-1.0};
   FlowId next_id_ = 1;
   monoutil::Bytes total_bytes_;
-  SharePolicy share_policy_ = SharePolicy::kMaxMinFair;
 
   // Closure-collection scratch (CollectFromSides), reused across calls: flows and
   // sides are marked visited by stamp so nothing needs clearing between runs.
@@ -410,11 +377,9 @@ class NetworkFabricSim : public Auditable {
   std::vector<uint64_t> side_visit_stamp_;
   std::vector<int> pending_sides_;
 
-  // Solver scratch (SolveMaxMin): the side-key -> slot map is stamped per solve,
-  // per-slot state keeps its capacity across solves, and the bottleneck frontier
-  // is a binary min-heap with lazy invalidation (an entry is stale once its
-  // slot's version moved on). All persistent so the steady-state solve allocates
-  // nothing.
+  // Solver scratch (SolveMaxMin): the side-key -> slot map is stamped per solve
+  // and per-slot state keeps its capacity across solves, so the steady-state
+  // solve allocates nothing.
   uint64_t solve_stamp_ = 0;
   std::vector<uint64_t> slot_stamp_;  // Side key -> last solve that used it.
   std::vector<int> slot_of_;          // Side key -> slot within that solve.
@@ -426,30 +391,17 @@ class NetworkFabricSim : public Auditable {
   std::vector<int> slot_adj_offset_;
   std::vector<int> slot_adj_;
   std::vector<int> slot_cursor_;
-  // Per-slot sub-solve results, read by the boundary expansion check: the side
-  // key behind the slot, the fixed consumption of unaffected flows (and their
-  // top share, filled by the expansion pre-pass), the level the side froze its
-  // flows at (infinity if it never became the bottleneck), and the side's
-  // post-solve total and top affected share.
-  std::vector<int> slot_keys_;
-  std::vector<double> slot_base_;
-  std::vector<double> slot_unaffected_max_;
-  std::vector<double> slot_level_;
-  std::vector<double> slot_total_;
-  std::vector<double> slot_max_affected_;
   std::vector<int> egress_slot_;
   std::vector<int> ingress_slot_;
   std::vector<char> frozen_;
 
-  // Flush scratch (FlushPending), reused across epochs. `affected_sides_` is the
-  // NIC sides crossed by the current affected set (plus the emptied dirty ones).
+  // Flush scratch (FlushPending), reused across epochs.
   std::vector<Flow*> component_scratch_;
   std::vector<std::pair<FlowId, Flow*>> sort_scratch_;
   std::vector<double> rates_scratch_;
   std::vector<int> touched_scratch_;
-  std::vector<int> affected_sides_;
-  // Fallback flushes left that may take the full flow list without re-walking
-  // the closure (armed when a collected closure spans every live flow).
+  // Flushes left that may take the full flow list without re-walking the
+  // closure (armed when a collected closure spans every live flow).
   int spanning_revalidate_ = 0;
 
   // Epoch-batching state: the NIC sides touched by changes since the last flush,

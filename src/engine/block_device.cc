@@ -79,4 +79,9 @@ void SimulatedBlockDevice::DeleteBlock(const std::string& block_id) {
   blocks_.erase(block_id);
 }
 
+size_t SimulatedBlockDevice::num_blocks() const {
+  const monoutil::MutexLock lock(mutex_);
+  return blocks_.size();
+}
+
 }  // namespace monotasks

@@ -60,6 +60,8 @@ class SimulatedBlockDevice {
   // Size of a stored block; aborts if missing.
   size_t BlockSize(const std::string& block_id) const;
   void DeleteBlock(const std::string& block_id);
+  // Number of blocks currently stored.
+  size_t num_blocks() const;
 
   monoutil::Bytes bytes_read() const { return monoutil::Bytes(bytes_read_.load()); }
   monoutil::Bytes bytes_written() const {

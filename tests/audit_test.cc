@@ -66,56 +66,40 @@ TEST(SimAuditTest, EqualWeightsMaskTheLegacyBug) {
   EXPECT_TRUE(scoped.audit().ok()) << scoped.audit().Summary();
 }
 
-TEST(SimAuditTest, DetectsLegacyMinShareNetworkModel) {
-  // The fabric twin of the equal-split bug: the old min-of-equal-shares model
-  // never over-allocated a NIC, so the ingress/egress-within-bandwidth checks
-  // could not see it — under-allocation (stranded capacity) passes bounds that
+TEST(SimAuditTest, DetectsStrandedFabricRate) {
+  // The fabric twin of the equal-split bug: a min-of-equal-shares network model
+  // never over-allocates a NIC, so the ingress/egress-within-bandwidth checks
+  // cannot see it — under-allocation (stranded capacity) passes bounds that
   // only cut from above. The max-min-bottleneck invariant bounds rates from
   // below: every flow must sit at a saturated NIC side where it has a maximal
-  // share, which the stranded m4->m2 flow (50 instead of 200/3) does not.
-  ScopedAudit scoped(ScopedAudit::kReport);
+  // share. Flows m0->m1, m0->m1, m0->m2 pin m0's egress at 100/3 each, so
+  // m4->m2 deserves 200/3; lowering it to the 50 that min-of-shares gave it
+  // leaves m2's ingress and m4's egress both unsaturated.
   Simulation sim;
   NetworkFabricSim fabric(&sim, 5, monoutil::BytesPerSecond(100.0));
-  fabric.set_share_policy_for_test(NetworkFabricSim::SharePolicy::kMinShareLegacy);
   fabric.StartFlow(0, 1, monoutil::Bytes(1000), [] {});
   fabric.StartFlow(0, 1, monoutil::Bytes(1000), [] {});
   fabric.StartFlow(0, 2, monoutil::Bytes(1000), [] {});
-  fabric.StartFlow(4, 2, monoutil::Bytes(200), [] {});
-  sim.Run();
-  ASSERT_FALSE(scoped.audit().ok());
-  bool bottleneck_flagged = false;
-  for (const AuditViolation& violation : scoped.audit().violations()) {
-    if (violation.invariant == "max-min-bottleneck") {
-      bottleneck_flagged = true;
-      EXPECT_EQ(violation.source, "network-fabric");
-    }
-  }
-  EXPECT_TRUE(bottleneck_flagged) << scoped.audit().Summary();
-}
-
-TEST(SimAuditTest, SymmetricShufflesMaskTheLegacyNetworkBug) {
-  // On a complete symmetric all-to-all shuffle the min-of-shares allocation *is*
-  // max-min fair, so the certification passes — which is why the shortcut
-  // survived: the paper's symmetric network-heavy workloads never exposed it.
-  // (The flows are started under an absorbed audit: the asymmetric *prefixes* on
-  // the way to all-to-all are legitimately flagged, which is the previous test.)
-  Simulation sim;
-  NetworkFabricSim fabric(&sim, 4, monoutil::BytesPerSecond(100.0));
-  fabric.set_share_policy_for_test(NetworkFabricSim::SharePolicy::kMinShareLegacy);
+  const auto fan_in = fabric.StartFlow(4, 2, monoutil::Bytes(200), [] {});
+  ASSERT_NEAR(fabric.flow_rate(fan_in).bps(), 200.0 / 3.0, 1e-9);
   {
-    ScopedAudit absorb(ScopedAudit::kReport);
-    for (int src = 0; src < 4; ++src) {
-      for (int dst = 0; dst < 4; ++dst) {
-        if (src != dst) {
-          fabric.StartFlow(src, dst, monoutil::Bytes(300), [] {});
-        }
-      }
-    }
+    SimAudit clean;
+    fabric.AuditInvariants(clean, AuditPhase::kEventBoundary);
+    ASSERT_TRUE(clean.ok()) << clean.Summary();
   }
-  SimAudit audit;  // Standalone: audits only the complete symmetric state.
+  fabric.LowerFlowRateForTest(fan_in, monoutil::BytesPerSecond(50.0));
+  SimAudit audit;  // Standalone: the corrupted fabric is audited, never run.
   fabric.AuditInvariants(audit, AuditPhase::kEventBoundary);
-  EXPECT_TRUE(audit.ok()) << audit.Summary();
-  EXPECT_GT(audit.checks_run(), 0u);
+  ASSERT_FALSE(audit.ok());
+  bool bottleneck_flagged = false;
+  for (const AuditViolation& violation : audit.violations()) {
+    EXPECT_EQ(violation.source, "network-fabric");
+    // The hook keeps the fabric's bookkeeping consistent, so the stranded
+    // capacity is the only violation.
+    EXPECT_EQ(violation.invariant, "max-min-bottleneck");
+    bottleneck_flagged |= violation.invariant == "max-min-bottleneck";
+  }
+  EXPECT_TRUE(bottleneck_flagged) << audit.Summary();
 }
 
 TEST(SimAuditTest, DetectsCorruptedCompletionHeap) {

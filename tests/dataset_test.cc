@@ -147,6 +147,36 @@ TEST(DatasetTest, PartitionByCoLocatesEqualKeys) {
   EXPECT_EQ(partitioned.Count(), 60);
 }
 
+TEST(DatasetTest, ShuffleBlocksAreDeletedOnceConsumed) {
+  // Shuffle blocks are job-local: after each job only the source partitions
+  // remain on the workers' disks, however many jobs have run.
+  MonoClient client(FastConfig(/*workers=*/2, /*cores=*/2, /*disks=*/2));
+  using Record = std::pair<int64_t, int64_t>;
+  std::vector<Record> input;
+  for (int64_t i = 0; i < 60; ++i) {
+    input.emplace_back(i % 6, i);
+  }
+  auto source = client.Parallelize<Record>(input, 4);
+  MonoContext& ctx = client.context();
+  const auto stored_blocks = [&ctx] {
+    size_t blocks = 0;
+    for (int w = 0; w < ctx.num_workers(); ++w) {
+      for (int d = 0; d < ctx.worker(w).num_disks(); ++d) {
+        blocks += ctx.worker(w).disk(d).num_blocks();
+      }
+    }
+    return blocks;
+  };
+  const size_t source_blocks = stored_blocks();
+  EXPECT_EQ(source_blocks, 4u);
+  for (int job = 0; job < 2; ++job) {
+    auto partitioned =
+        source.PartitionBy<int64_t>([](const Record& r) { return r.first; }, 5);
+    EXPECT_EQ(partitioned.Count(), 60);
+    EXPECT_EQ(stored_blocks(), source_blocks) << "after job " << job;
+  }
+}
+
 TEST(DatasetTest, SortBySortsWithinPartitions) {
   MonoClient client(FastConfig());
   std::vector<int64_t> input = {9, 3, 7, 1, 8, 2, 6, 4, 5, 0};

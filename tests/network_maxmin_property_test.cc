@@ -67,6 +67,9 @@ TEST(NetworkMaxMinPropertyTest, IncrementalRatesMatchReferenceSolverOnRandomChur
       }
     }
     EXPECT_EQ(completed, arrivals) << "seed " << seed;
+    // Every flush solves exactly once: there is no second solve path.
+    EXPECT_EQ(fabric.solver_stats().solves, fabric.solver_stats().epochs_flushed)
+        << "seed " << seed;
   }
 }
 
@@ -164,8 +167,8 @@ TEST(NetworkMaxMinPropertyTest, PruningEligibleDeltasArePatchedAndStayCorrect) {
 
 TEST(NetworkMaxMinPropertyTest, HeavyFanInSequencesStayWorkConserving) {
   // Skewed sequences: most flows converge on one hot receiver (Spark's
-  // many-concurrent-fetch shuffle pattern), the rest are scattered — the shape the
-  // legacy min-share model distorted. Work conservation here means every flow is
+  // many-concurrent-fetch shuffle pattern), the rest are scattered — the shape a
+  // min-of-equal-shares model distorts. Work conservation here means every flow is
   // bottlenecked at a saturated NIC, which ExpectRatesMatchReference implies
   // (reference rates are max-min, hence work-conserving).
   constexpr double kBandwidth = 100.0;

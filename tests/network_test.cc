@@ -89,21 +89,6 @@ TEST(NetworkFabricTest, StrandedEgressCapacityIsRedistributedToo) {
   sim.Run();
 }
 
-TEST(NetworkFabricTest, LegacyMinSharePolicyReproducesTheStrandedRate) {
-  // Documents what the old model computed for the same flow set (and pins the
-  // test-only policy the audit demonstration in audit_test.cc relies on).
-  Simulation sim;
-  NetworkFabricSim fabric(&sim, 5, monoutil::BytesPerSecond(100.0));
-  fabric.set_share_policy_for_test(NetworkFabricSim::SharePolicy::kMinShareLegacy);
-  ScopedAudit absorb(ScopedAudit::kReport);  // Absorb the max-min violations.
-  fabric.StartFlow(0, 1, Bytes(1000), [] {});
-  fabric.StartFlow(0, 1, Bytes(1000), [] {});
-  fabric.StartFlow(0, 2, Bytes(1000), [] {});
-  const NetworkFabricSim::FlowId fan_in = fabric.StartFlow(4, 2, Bytes(200), [] {});
-  EXPECT_NEAR(fabric.flow_rate(fan_in).bps(), 50.0, 1e-9);
-  sim.Run();
-}
-
 TEST(NetworkFabricTest, CascadedRedistributionBottomsOutEveryFlow) {
   // Two levels of filling: e0 saturates first (A,B,C at 30); the freed ingress
   // capacity at m2 then lets D rise until e3/i4 saturate, dragging E and F with
@@ -240,6 +225,37 @@ TEST(NetworkFabricTest, ArrivalBelowASaturatedSidesTopShareFallsBackToASolve) {
   EXPECT_EQ(fabric.solver_stats().patched_arrivals, patched_before);
   EXPECT_NEAR(fabric.flow_rate(arrival).bps(), 50.0, 1e-9);
   EXPECT_NEAR(fabric.flow_rate(big).bps(), 50.0, 1e-9);
+  sim.Run();
+}
+
+TEST(NetworkFabricTest, BatchedArrivalsResolveOnlyTheirOwnComponent) {
+  // Two disjoint components: A on machines 0-2, B on machines 3-5. Same-epoch
+  // arrivals in A must re-solve A's closure alone — B is neither touched nor
+  // perturbed in the last bit. The first flush only solves B, so no closure
+  // ever spans every live flow and the flush takes the collected-closure path.
+  Simulation sim;
+  NetworkFabricSim fabric(&sim, 6, monoutil::BytesPerSecond(100.0));
+  const auto a0 = fabric.StartFlow(0, 1, Bytes(1000), [] {});  // Patched in at 100.
+  const auto b0 = fabric.StartFlow(3, 4, Bytes(1000), [] {});  // Patched in at 100.
+  const auto b1 = fabric.StartFlow(3, 5, Bytes(1000), [] {});  // Saturated egress: solve.
+  const monoutil::BytesPerSecond b0_rate = fabric.flow_rate(b0);
+  const monoutil::BytesPerSecond b1_rate = fabric.flow_rate(b1);
+  EXPECT_NEAR(b0_rate.bps(), 50.0, 1e-9);
+  EXPECT_NEAR(b1_rate.bps(), 50.0, 1e-9);
+  const NetworkFabricSim::SolverStats before = fabric.solver_stats();
+  EXPECT_EQ(before.flows_touched, 2u);
+
+  const auto a1 = fabric.StartFlow(0, 2, Bytes(1000), [] {});
+  const auto a2 = fabric.StartFlow(2, 1, Bytes(1000), [] {});
+  EXPECT_NEAR(fabric.flow_rate(a0).bps(), 50.0, 1e-9);
+  EXPECT_NEAR(fabric.flow_rate(a1).bps(), 50.0, 1e-9);
+  EXPECT_NEAR(fabric.flow_rate(a2).bps(), 50.0, 1e-9);
+  const NetworkFabricSim::SolverStats after = fabric.solver_stats();
+  EXPECT_EQ(after.solves, before.solves + 1);
+  EXPECT_EQ(after.epochs_flushed, before.epochs_flushed + 1);
+  EXPECT_EQ(after.flows_touched, before.flows_touched + 3);  // A's size only.
+  EXPECT_EQ(fabric.flow_rate(b0), b0_rate);
+  EXPECT_EQ(fabric.flow_rate(b1), b1_rate);
   sim.Run();
 }
 
