@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <sstream>
 #include <utility>
 
@@ -31,8 +32,8 @@ NetworkFabricSim::NetworkFabricSim(Simulation* sim, int num_machines,
       request_latency_(request_latency),
       ingress_count_(static_cast<size_t>(num_machines), 0),
       egress_count_(static_cast<size_t>(num_machines), 0),
-      ingress_flows_(static_cast<size_t>(num_machines)),
-      egress_flows_(static_cast<size_t>(num_machines)),
+      ingress_classes_(static_cast<size_t>(num_machines)),
+      egress_classes_(static_cast<size_t>(num_machines)),
       side_rate_sum_(static_cast<size_t>(2 * num_machines)),
       side_visit_stamp_(static_cast<size_t>(2 * num_machines), 0),
       slot_stamp_(static_cast<size_t>(2 * num_machines), 0),
@@ -65,7 +66,7 @@ void NetworkFabricSim::AuditInvariants(SimAudit& audit, AuditPhase phase) const 
   const double eps = 1e-9 * std::max(1.0, bw);
 
   // Per-NIC-side rate sums and maxima, reused below by the bandwidth checks and
-  // the max-min bottleneck certification. Recomputed from the flow lists — the
+  // the max-min bottleneck certification. Recomputed from the classes — the
   // audit cross-checks the incrementally-maintained side rate sums against this
   // ground truth, so it must not read them. The sweep runs every epoch; the
   // scratch members are persistent so it costs a fill, not four allocations.
@@ -74,101 +75,151 @@ void NetworkFabricSim::AuditInvariants(SimAudit& audit, AuditPhase phase) const 
   std::vector<double>& ingress_max = audit_ingress_max_;
   std::vector<double>& egress_sum = audit_egress_sum_;
   std::vector<double>& egress_max = audit_egress_max_;
-  ingress_sum.resize(machines);
-  ingress_max.resize(machines);
-  egress_sum.resize(machines);
-  egress_max.resize(machines);
-  std::fill(ingress_sum.begin(), ingress_sum.end(), 0.0);
-  std::fill(ingress_max.begin(), ingress_max.end(), 0.0);
-  std::fill(egress_sum.begin(), egress_sum.end(), 0.0);
-  std::fill(egress_max.begin(), egress_max.end(), 0.0);
+  ingress_sum.assign(machines, 0.0);
+  ingress_max.assign(machines, 0.0);
+  egress_sum.assign(machines, 0.0);
+  egress_max.assign(machines, 0.0);
 
-  // One contiguous walk over the id-ordered flow list recomputes every
-  // per-side aggregate and evaluates the per-flow predicates; each flow is
-  // dereferenced once. The predicates are folded into one boolean per
-  // invariant, reported through a single ExpectLazy whose detail lambda
-  // re-walks to name an offender — the sweep runs every epoch, so the passing
-  // path must stay a tight loop, while the failing path can afford a second
-  // pass. The per-machine bookkeeping checks below compare against these
-  // ground truths without walking the per-machine lists again.
-  size_t listed_ingress = 0;
-  size_t listed_egress = 0;
+  // One walk over the id-ordered registry, then one over the pair-ordered
+  // classes, recompute every per-side aggregate and fold each per-class
+  // predicate into one boolean per invariant, reported through a single
+  // ExpectLazy whose detail lambda re-walks to name an offender — the sweep
+  // runs every epoch, so the passing path must stay a tight loop, while the
+  // failing path can afford a second pass.
+  std::vector<PairClass*>& classes = audit_classes_;
+  ListClasses(&classes);
   bool ids_ordered = true;
-  bool rates_nonneg = true;
-  // Completion-heap membership: every flow with a predicted completion sits at
-  // its recorded slot under its exact (time, id) key. Together with the count
-  // matching the heap size, that leaves the heap no room for stray entries.
-  bool heap_members_ok = true;
-  size_t indexed_flows = 0;
-  const auto heap_member_ok = [&](const Flow& flow) {
-    if (flow.predicted_done < SimTime()) {
-      return true;
-    }
-    const size_t slot = flow.completion_slot;
-    return slot < completions_.size() && completions_[slot].flow == &flow &&
-           completions_[slot].at == flow.predicted_done && completions_[slot].id == flow.id;
-  };
   FlowId last_id = 0;
-  for (const Flow* flow : flows_by_id_) {
-    ids_ordered = ids_ordered && flow->id > last_id;
-    last_id = flow->id;
-    const size_t src = static_cast<size_t>(flow->src);
-    const size_t dst = static_cast<size_t>(flow->dst);
-    const double rate = flow->rate.bps();
-    egress_sum[src] += rate;
+  for (const auto& [id, cls] : flows_by_id_) {
+    ids_ordered = ids_ordered && id > last_id;
+    last_id = id;
+    ++cls->audit_registered;
+  }
+  // Completion-heap membership: every rated class sits at its recorded slot
+  // under its exact (time, head id) key, which is the time its clock gives.
+  // Together with the count matching the heap size, that leaves the heap no
+  // room for stray entries.
+  const auto heap_member_ok = [&](const PairClass& cls) {
+    const size_t slot = cls.completion_slot;
+    return cls.predicted_done < SimTime() ||
+           (!cls.flows.empty() && slot < completions_.size() && completions_[slot].cls == &cls &&
+            completions_[slot].at == cls.predicted_done &&
+            completions_[slot].id == cls.flows.front().id &&
+            cls.predicted_done == HeadCompletion(cls));
+  };
+  const auto class_heap_ok = [](const PairClass& cls) {
+    for (size_t i = 1; i < cls.flows.size(); ++i) {
+      if (FinishesAfter(cls.flows[(i - 1) / 2], cls.flows[i])) {
+        return false;
+      }
+    }
+    return true;
+  };
+  // No flow's finish tag may trail the class clock by more than the epsilon a
+  // completion tolerates: such a flow's completion was missed.
+  const auto clock_ok = [&](const PairClass& cls) {
+    const double floor =
+        ServedAt(cls, now) - std::max(cls.rate.bps(), 1.0) * kCompletionEpsilonSeconds;
+    return std::all_of(cls.flows.begin(), cls.flows.end(),
+                       [floor](const Flow& flow) { return flow.finish >= floor; });
+  };
+  const auto size_ok = [](const PairClass& cls) {
+    return !cls.flows.empty() && cls.audit_registered == cls.flows.size();
+  };
+  const auto name_class = [&](auto&& ok, const char* what) {
+    std::ostringstream d;
+    for (const PairClass* cls : classes) {
+      if (!ok(*cls)) {
+        d << "pair " << cls->src << "->" << cls->dst << " (" << cls->flows.size()
+          << " flows, rate " << cls->rate << ") " << what;
+        break;
+      }
+    }
+    return d.str();
+  };
+  bool rates_nonneg = true;
+  bool heap_members_ok = true;
+  bool class_heaps_ok = true;
+  bool clocks_ok = true;
+  bool sizes_ok = true;
+  size_t indexed_classes = 0;
+  size_t class_flows = 0;
+  for (size_t i = 0; i < classes.size(); ++i) {
+    const PairClass& cls = *classes[i];
+    ids_ordered = ids_ordered && (i == 0 || PairBefore(classes[i - 1], &cls));
+    const size_t src = static_cast<size_t>(cls.src);
+    const size_t dst = static_cast<size_t>(cls.dst);
+    const double rate = cls.rate.bps();
+    egress_sum[src] += rate * static_cast<double>(cls.flows.size());
     egress_max[src] = std::max(egress_max[src], rate);
-    ingress_sum[dst] += rate;
+    ingress_sum[dst] += rate * static_cast<double>(cls.flows.size());
     ingress_max[dst] = std::max(ingress_max[dst], rate);
     rates_nonneg = rates_nonneg && rate >= 0.0;
-    heap_members_ok = heap_members_ok && heap_member_ok(*flow);
-    indexed_flows += flow->predicted_done >= SimTime() ? 1 : 0;
+    heap_members_ok = heap_members_ok && heap_member_ok(cls);
+    indexed_classes += cls.predicted_done >= SimTime() ? 1 : 0;
+    class_heaps_ok = class_heaps_ok && class_heap_ok(cls);
+    clocks_ok = clocks_ok && clock_ok(cls);
+    sizes_ok = sizes_ok && size_ok(cls);
+    class_flows += cls.flows.size();
   }
-  heap_members_ok = heap_members_ok && indexed_flows == completions_.size();
+  heap_members_ok = heap_members_ok && indexed_classes == completions_.size();
   bool heap_ordered = true;
   for (size_t i = 1; i < completions_.size(); ++i) {
     heap_ordered = heap_ordered && !CompletesBefore(completions_[i], completions_[(i - 1) / 2]);
   }
   audit.ExpectLazy(rates_nonneg, now, source, "flow-rate-non-negative", [&] {
-    std::ostringstream d;
-    for (const Flow* flow : flows_by_id_) {
-      if (flow->rate < monoutil::BytesPerSecond(0)) {
-        d << "flow " << flow->id << " has rate " << flow->rate;
-        break;
-      }
-    }
-    return d.str();
+    return name_class([](const PairClass& c) { return c.rate.bps() >= 0.0; }, "has rate < 0");
   });
   audit.ExpectLazy(heap_members_ok, now, source, "completion-index-membership", [&] {
     std::ostringstream d;
-    for (const Flow* flow : flows_by_id_) {
-      if (!heap_member_ok(*flow)) {
-        d << "flow " << flow->id << " predicted to complete at " << flow->predicted_done
-          << " is not at its completion-heap slot " << flow->completion_slot;
-        return d.str();
-      }
-    }
-    d << "completion heap holds " << completions_.size() << " entries for "
-      << indexed_flows << " flows with a predicted completion";
+    d << "completion heap holds " << completions_.size() << " entries for " << indexed_classes
+      << " rated classes; "
+      << name_class(heap_member_ok, "is not at its heap slot under its head's exact key");
     return d.str();
   });
   audit.ExpectLazy(ids_ordered, now, source, "flow-list-ordered", [&] {
     std::ostringstream d;
-    d << "flow registry (" << flows_by_id_.size()
-      << " entries) is not in strictly ascending id order";
+    d << "flow registry (" << flows_by_id_.size() << " entries) or class list ("
+      << classes.size() << " pairs) is not in strictly ascending order";
     return d.str();
   });
+  audit.ExpectLazy(class_heaps_ok, now, source, "pair-class-heap-order", [&] {
+    return name_class(class_heap_ok, "has a flow heap out of (finish, id) order");
+  });
+  audit.ExpectLazy(clocks_ok, now, source, "pair-class-clock", [&] {
+    return name_class(clock_ok, "has a flow whose finish tag is behind the class clock");
+  });
+  audit.ExpectLazy(sizes_ok && class_flows == flows_by_id_.size(), now, source,
+                   "pair-class-size", [&] {
+    std::ostringstream d;
+    d << "classes hold " << class_flows << " flows, registry " << flows_by_id_.size() << "; "
+      << name_class(size_ok, "disagrees with the registry entries naming it");
+    return d.str();
+  });
+  for (const auto& entry : flows_by_id_) {
+    entry.second->audit_registered = 0;  // Leave the scratch zeroed for the next sweep.
+  }
   bool counts_ok = true;
   bool ingress_within = true;
   bool egress_within = true;
   bool rate_sums_ok = true;
+  size_t listed_ingress = 0;
+  size_t listed_egress = 0;
+  const auto listed_flows = [](const std::vector<PairClass*>& side) {
+    size_t n = 0;
+    for (const PairClass* cls : side) {
+      n += cls->flows.size();
+    }
+    return n;
+  };
   for (int m = 0; m < num_machines(); ++m) {
     const auto mu = static_cast<size_t>(m);
-    const auto& ingress = ingress_flows_[mu];
-    const auto& egress = egress_flows_[mu];
-    listed_ingress += ingress.size();
-    listed_egress += egress.size();
-    counts_ok = counts_ok && ingress_count_[mu] == static_cast<int>(ingress.size()) &&
-                egress_count_[mu] == static_cast<int>(egress.size());
+    const size_t ingress = listed_flows(ingress_classes_[mu]);
+    const size_t egress = listed_flows(egress_classes_[mu]);
+    listed_ingress += ingress;
+    listed_egress += egress;
+    counts_ok = counts_ok && ingress_count_[mu] == static_cast<int>(ingress) &&
+                egress_count_[mu] == static_cast<int>(egress);
     // Each NIC is full duplex: the flows it carries in each direction cannot
     // together exceed its bandwidth.
     ingress_within = ingress_within && ingress_sum[mu] <= bw + eps;
@@ -182,13 +233,13 @@ void NetworkFabricSim::AuditInvariants(SimAudit& audit, AuditPhase phase) const 
   }
   audit.ExpectLazy(counts_ok, now, source, "flow-count-bookkeeping", [&] {
     std::ostringstream d;
-    for (int m = 0; m < num_machines(); ++m) {
-      const auto mu = static_cast<size_t>(m);
-      if (ingress_count_[mu] != static_cast<int>(ingress_flows_[mu].size()) ||
-          egress_count_[mu] != static_cast<int>(egress_flows_[mu].size())) {
-        d << "machine " << m << ": counts (" << ingress_count_[mu] << ", "
-          << egress_count_[mu] << ") != list sizes (" << ingress_flows_[mu].size()
-          << ", " << egress_flows_[mu].size() << ")";
+    for (size_t m = 0; m < machines; ++m) {
+      const size_t ingress = listed_flows(ingress_classes_[m]);
+      const size_t egress = listed_flows(egress_classes_[m]);
+      if (ingress_count_[m] != static_cast<int>(ingress) ||
+          egress_count_[m] != static_cast<int>(egress)) {
+        d << "machine " << m << ": counts (" << ingress_count_[m] << ", " << egress_count_[m]
+          << ") != class sizes listed (" << ingress << ", " << egress << ")";
         break;
       }
     }
@@ -263,30 +314,27 @@ void NetworkFabricSim::AuditInvariants(SimAudit& audit, AuditPhase phase) const 
   // Max-min certification: an allocation is max-min fair iff every flow crosses at
   // least one saturated NIC side on which it has a maximal share. This bounds the
   // rates from *below* — the bandwidth checks above only bound them from above, so
-  // a work-conservation bug (stranded capacity) passes them silently. Batched and
-  // patched solutions alike must pass: a patch is only taken when it provably
+  // a work-conservation bug (stranded capacity) passes them silently. Classmates
+  // share one rate, so certifying each class certifies all of its flows. Batched
+  // and patched solutions alike must pass: a patch is only taken when it provably
   // leaves every flow pinned to a saturated side (see TryPatchArrival /
   // CanPatchDeparture), so this certification is what pins the pruning logic.
-  const auto certified = [&](const Flow& flow) {
-    const size_t src = static_cast<size_t>(flow.src);
-    const size_t dst = static_cast<size_t>(flow.dst);
-    return (egress_sum[src] >= bw - eps &&
-            flow.rate.bps() >= egress_max[src] - eps) ||
-           (ingress_sum[dst] >= bw - eps &&
-            flow.rate.bps() >= ingress_max[dst] - eps);
+  const auto certified = [&](const PairClass& cls) {
+    const size_t src = static_cast<size_t>(cls.src);
+    const size_t dst = static_cast<size_t>(cls.dst);
+    return (egress_sum[src] >= bw - eps && cls.rate.bps() >= egress_max[src] - eps) ||
+           (ingress_sum[dst] >= bw - eps && cls.rate.bps() >= ingress_max[dst] - eps);
   };
-  bool all_certified = true;
-  for (const Flow* flow : flows_by_id_) {
-    all_certified = all_certified && certified(*flow);
-  }
+  const bool all_certified = std::all_of(
+      classes.begin(), classes.end(), [&](const PairClass* cls) { return certified(*cls); });
   audit.ExpectLazy(all_certified, now, source, "max-min-bottleneck", [&] {
     std::ostringstream d;
-    for (const Flow* flow : flows_by_id_) {
-      if (!certified(*flow)) {
-        const size_t src = static_cast<size_t>(flow->src);
-        const size_t dst = static_cast<size_t>(flow->dst);
-        d << "flow " << flow->id << " (" << flow->src << "->" << flow->dst
-          << ") rate " << flow->rate
+    for (const PairClass* cls : classes) {
+      if (!certified(*cls)) {
+        const size_t src = static_cast<size_t>(cls->src);
+        const size_t dst = static_cast<size_t>(cls->dst);
+        d << "flow " << cls->flows.front().id << " (" << cls->src << "->" << cls->dst
+          << ") rate " << cls->rate
           << " is not bottlenecked at a saturated NIC (egress sum "
           << egress_sum[src] << " max " << egress_max[src] << ", ingress sum "
           << ingress_sum[dst] << " max " << ingress_max[dst] << ", bandwidth "
@@ -298,40 +346,72 @@ void NetworkFabricSim::AuditInvariants(SimAudit& audit, AuditPhase phase) const 
   });
 
   if (phase == AuditPhase::kDrain) {
-    audit.ExpectLazy(flows_by_id_.empty(), now, source, "drained", [&] {
+    audit.ExpectLazy(flows_by_id_.empty() && classes.empty(), now, source, "drained", [&] {
       std::ostringstream d;
-      d << flows_by_id_.size() << " flow(s) still active after the event queue drained";
+      d << flows_by_id_.size() << " flow(s) in " << classes.size()
+        << " pair(s) still active after the event queue drained";
       return d.str();
     });
   }
 }
 
-NetworkFabricSim::Flow* NetworkFabricSim::AllocFlow() {
-  if (free_flows_.empty()) {
-    constexpr size_t kFlowsPerBlock = 128;
-    flow_blocks_.push_back(std::make_unique<Flow[]>(kFlowsPerBlock));
-    Flow* block = flow_blocks_.back().get();
+NetworkFabricSim::PairClass* NetworkFabricSim::ClassFor(int src, int dst) {
+  std::vector<PairClass*>& egress = egress_classes_[static_cast<size_t>(src)];
+  const auto it = std::lower_bound(egress.begin(), egress.end(), dst,
+                                   [](const PairClass* c, int d) { return c->dst < d; });
+  if (it != egress.end() && (*it)->dst == dst) {
+    return *it;
+  }
+  if (free_classes_.empty()) {
+    constexpr size_t kClassesPerBlock = 64;
+    class_blocks_.push_back(std::make_unique<PairClass[]>(kClassesPerBlock));
+    PairClass* block = class_blocks_.back().get();
     // Pushed back-to-front so the LIFO free list hands them out in address
     // order within the block (pure locality; no ordering depends on it).
-    for (size_t i = kFlowsPerBlock; i > 0; --i) {
-      free_flows_.push_back(&block[i - 1]);
+    for (size_t i = kClassesPerBlock; i > 0; --i) {
+      free_classes_.push_back(&block[i - 1]);
     }
   }
-  Flow* flow = free_flows_.back();
-  free_flows_.pop_back();
+  PairClass* cls = free_classes_.back();
+  free_classes_.pop_back();
   // Reset what recycling could leak into solver decisions: the stamp (so a
-  // stale membership mark can never alias a live collection), the completion key
-  // (negative = not yet indexed), and the rate the progress math starts from.
-  flow->rate = monoutil::BytesPerSecond();
-  flow->predicted_done = SimTime(-1.0);
-  flow->visit_stamp = 0;
-  return flow;
+  // stale membership mark can never alias a live collection), the completion
+  // key (negative = not yet indexed), the rate and the clock.
+  cls->src = src;
+  cls->dst = dst;
+  cls->rate = monoutil::BytesPerSecond();
+  cls->served = 0.0;
+  cls->clock_at = sim_->now();
+  cls->predicted_done = SimTime(-1.0);
+  cls->visit_stamp = 0;
+  egress.insert(it, cls);
+  ingress_classes_[static_cast<size_t>(dst)].push_back(cls);
+  ++num_classes_;
+  return cls;
 }
 
-NetworkFabricSim::Flow* NetworkFabricSim::FindFlow(FlowId id) const {
-  const auto it = std::lower_bound(flows_by_id_.begin(), flows_by_id_.end(), id,
-                                   [](const Flow* f, FlowId v) { return f->id < v; });
-  return (it != flows_by_id_.end() && (*it)->id == id) ? *it : nullptr;
+void NetworkFabricSim::RetireClass(PairClass* cls) {
+  RemoveCompletion(cls);
+  std::vector<PairClass*>& egress = egress_classes_[static_cast<size_t>(cls->src)];
+  egress.erase(std::find(egress.begin(), egress.end(), cls));
+  std::vector<PairClass*>& ingress = ingress_classes_[static_cast<size_t>(cls->dst)];
+  ingress.erase(std::find(ingress.begin(), ingress.end(), cls));
+  free_classes_.push_back(cls);
+  --num_classes_;
+}
+
+void NetworkFabricSim::ListClasses(std::vector<PairClass*>* out) const {
+  out->clear();
+  for (const std::vector<PairClass*>& egress : egress_classes_) {
+    out->insert(out->end(), egress.begin(), egress.end());
+  }
+}
+
+NetworkFabricSim::PairClass* NetworkFabricSim::ClassOf(FlowId id) const {
+  const auto it = std::lower_bound(
+      flows_by_id_.begin(), flows_by_id_.end(), id,
+      [](const std::pair<FlowId, PairClass*>& f, FlowId v) { return f.first < v; });
+  return (it != flows_by_id_.end() && it->first == id) ? it->second : nullptr;
 }
 
 NetworkFabricSim::FlowId NetworkFabricSim::StartFlowImpl(int src, int dst,
@@ -347,38 +427,35 @@ NetworkFabricSim::FlowId NetworkFabricSim::StartFlowImpl(int src, int dst,
   MONO_CHECK(static_cast<bool>(done));
 
   const FlowId id = next_id_++;
-  Flow* raw = AllocFlow();
-  raw->id = id;
-  raw->src = src;
-  raw->dst = dst;
-  raw->remaining = static_cast<double>(bytes.count());
-  raw->last_update = sim_->now();
-  raw->done = std::move(done);
-  flows_by_id_.push_back(raw);  // Ids are monotonic: the back keeps the order.
-
-  // Close out the interval ending now before the busy-side set grows. The new
-  // flow enters its side rate sums at rate 0, so saturation is untouched here.
-  AccumulateSideTime(sim_->now());
-  if (egress_count_[static_cast<size_t>(src)] == 0) {
-    ++busy_side_count_;
-  }
-  if (ingress_count_[static_cast<size_t>(dst)] == 0) {
-    ++busy_side_count_;
-  }
-  ++egress_count_[static_cast<size_t>(src)];
-  ++ingress_count_[static_cast<size_t>(dst)];
-  egress_flows_[static_cast<size_t>(src)].push_back(raw);
-  ingress_flows_[static_cast<size_t>(dst)].push_back(raw);
-  side_rate_sum_[static_cast<size_t>(EgressKey(src))] += monoutil::BytesPerSecond();
-  side_rate_sum_[static_cast<size_t>(IngressKey(dst))] += monoutil::BytesPerSecond();
+  const SimTime now = sim_->now();
+  // Close out the interval ending now before the busy-side set grows.
+  AccumulateSideTime(now);
+  CountFlow(src, dst, +1);
   total_bytes_ += bytes;
 
-  if (TryPatchArrival(raw)) {
+  // The flow's finish tag is the class clock now plus its bytes; the clock's
+  // basis stays put, so the class's indexed completion keeps its exact key.
+  PairClass* cls = ClassFor(src, dst);
+  cls->flows.emplace_back(ServedAt(*cls, now) + static_cast<double>(bytes.count()), id,
+                          std::move(done));
+  std::push_heap(cls->flows.begin(), cls->flows.end(), FinishesAfter);
+  flows_by_id_.emplace_back(id, cls);  // Ids are monotonic: the back keeps the order.
+
+  if (cls->flows.size() == 1 && TryPatchArrival(cls)) {
     ++stats_.patched_arrivals;
-  } else {
-    ++stats_.batched_changes;
-    MarkDirty(src, dst);
+    return id;
   }
+  if (cls->flows.size() > 1) {
+    // Joining a live pair: the newcomer runs at the class rate until the flush
+    // re-levels the pair, and it may be the new head.
+    MoveSideRate(EgressKey(src), monoutil::BytesPerSecond(), cls->rate);
+    MoveSideRate(IngressKey(dst), monoutil::BytesPerSecond(), cls->rate);
+    if (cls->predicted_done >= SimTime() && cls->flows.front().id == id) {
+      IndexCompletion(cls, HeadCompletion(*cls));
+    }
+  }
+  ++stats_.batched_changes;
+  MarkDirty(src, dst);
   return id;
 }
 
@@ -412,12 +489,12 @@ void NetworkFabricSim::MarkSideDirty(int side_key) {
   }
 }
 
-bool NetworkFabricSim::TryPatchArrival(Flow* flow) {
+bool NetworkFabricSim::TryPatchArrival(PairClass* cls) {
   if (!dirty_sides_.empty()) {
     return false;  // Rates are stale mid-epoch; local reasoning would be unsound.
   }
-  const int egress = EgressKey(flow->src);
-  const int ingress = IngressKey(flow->dst);
+  const int egress = EgressKey(cls->src);
+  const int ingress = IngressKey(cls->dst);
   const double bw = nic_bandwidth_.bps();
   const double eps = 1e-9 * std::max(1.0, bw);
   const double free_egress = bw - side_rate_sum_[static_cast<size_t>(egress)].bps();
@@ -428,39 +505,41 @@ bool NetworkFabricSim::TryPatchArrival(Flow* flow) {
   }
   // The new flow saturates each side whose free capacity it consumes entirely; on
   // such a side it must not be out-ranked, or max-min would shrink the larger
-  // flow in its favor (and cascade through that flow's other side). A side left
-  // unsaturated carried no bottlenecked flow (it had free capacity), so raising
-  // its sum constrains nobody. The patched flow itself ends at the top of a
-  // saturated side, exactly what the max-min-bottleneck audit certifies.
+  // class in its favor (and cascade through that class's other side). A side
+  // left unsaturated carried no bottlenecked flow (it had free capacity), so
+  // raising its sum constrains nobody. The patched flow itself ends at the top
+  // of a saturated side, exactly what the max-min-bottleneck audit certifies.
   if (free_egress <= rate + eps && TopShare(egress) > rate + eps) {
     return false;
   }
   if (free_ingress <= rate + eps && TopShare(ingress) > rate + eps) {
     return false;
   }
-  ApplyRate(flow, monoutil::BytesPerSecond(rate));
+  ApplyRate(cls, monoutil::BytesPerSecond(rate));
   UpdateCompletionTimer();
-  RecordIngressTouched({flow->dst});
+  if (TracingIngress()) {
+    RecordIngressTouched({cls->dst});
+  }
   return true;
 }
 
-bool NetworkFabricSim::CanPatchDeparture(const Flow& flow) const {
-  if (!dirty_sides_.empty()) {
-    return false;  // Rates are stale mid-epoch; local reasoning would be unsound.
+bool NetworkFabricSim::CanPatchDeparture(const PairClass& cls) const {
+  if (!dirty_sides_.empty() || cls.flows.size() > 1) {
+    return false;  // Stale mid-epoch rates, or classmates tied at the departing share.
   }
   const double bw = nic_bandwidth_.bps();
   const double eps = 1e-9 * std::max(1.0, bw);
-  for (const int key : {EgressKey(flow.src), IngressKey(flow.dst)}) {
+  for (const int key : {EgressKey(cls.src), IngressKey(cls.dst)}) {
     if (side_rate_sum_[static_cast<size_t>(key)].bps() < bw - eps) {
       continue;  // Unsaturated side: nobody is pinned here, freeing more changes nothing.
     }
-    if (SideFlows(key).size() == 1) {
+    if (SideFlowCount(key) == 1) {
       continue;  // The departing flow was alone on the side.
     }
-    // Saturated side: the departure is invisible only if every remaining flow has
-    // a strictly smaller share — each is then bottlenecked (maximal) at its
+    // Saturated side: the departure is invisible only if every remaining class
+    // has a strictly smaller share — each is then bottlenecked (maximal) at its
     // *other*, still-saturated side and cannot rise into the freed capacity.
-    if (TopShare(key, &flow) >= flow.rate.bps() - eps) {
+    if (TopShare(key, &cls) >= cls.rate.bps() - eps) {
       return false;
     }
   }
@@ -468,12 +547,12 @@ bool NetworkFabricSim::CanPatchDeparture(const Flow& flow) const {
 }
 
 void NetworkFabricSim::CollectFromSides(const std::vector<int>& seed_sides,
-                                        std::vector<Flow*>* component) {
+                                        std::vector<PairClass*>* component) {
   ++visit_stamp_;
   component->clear();
-  // A flow links its source's egress side to its destination's ingress side; the
-  // component is the transitive closure over those links, seeded from every dirty
-  // side. Stamps (not per-call bitmaps) keep repeat collections allocation-light.
+  // A class links its source's egress side to its destination's ingress side;
+  // the component is the transitive closure over those links, seeded from every
+  // dirty side. Stamps (not per-call bitmaps) keep repeat collections allocation-light.
   pending_sides_.clear();
   auto push_side = [&](int key) {
     if (side_visit_stamp_[static_cast<size_t>(key)] != visit_stamp_) {
@@ -487,119 +566,70 @@ void NetworkFabricSim::CollectFromSides(const std::vector<int>& seed_sides,
   while (!pending_sides_.empty()) {
     const int key = pending_sides_.back();
     pending_sides_.pop_back();
-    for (Flow* flow : SideFlows(key)) {
-      if (flow->visit_stamp == visit_stamp_) {
+    for (PairClass* cls : SideClasses(key)) {
+      if (cls->visit_stamp == visit_stamp_) {
         continue;
       }
-      flow->visit_stamp = visit_stamp_;
-      component->push_back(flow);
-      push_side(EgressKey(flow->src));
-      push_side(IngressKey(flow->dst));
+      cls->visit_stamp = visit_stamp_;
+      component->push_back(cls);
+      push_side(EgressKey(cls->src));
+      push_side(IngressKey(cls->dst));
     }
   }
 }
 
-void NetworkFabricSim::SolveMaxMin(const std::vector<Flow*>& component,
-                                   std::vector<double>* new_rates,
+void NetworkFabricSim::SolveMaxMin(const std::vector<PairClass*>& component,
                                    bool identity_slots) {
-  const size_t n = component.size();
-  new_rates->resize(n);
-  std::fill(new_rates->begin(), new_rates->end(), 0.0);
-  if (n == 0) {
+  for (PairClass* cls : component) {
+    cls->level = 0.0;  // Unfrozen.
+  }
+  if (component.empty()) {
     return;
   }
-  // Dense table of just the NIC sides this component touches, slots numbered in
-  // first-seen component order. The side-key -> slot map is stamped per solve and
-  // each slot's flow list keeps its capacity, so repeat solves allocate nothing.
+  // Dense table of just the NIC sides this component touches. The component
+  // is closed under side sharing, so each side's own class list is exactly its
+  // adjacency within the component, and its flow count is its number of
+  // unknowns: a class of k flows fills its sides k-fold. With identity slots
+  // each NIC side is its own slot (slot == side key); sides with no flows park
+  // their cap at +inf ((bandwidth - 0) / 0 in IEEE terms), so the bottleneck
+  // scan skips them like exhausted slots. Otherwise slots are numbered in
+  // first-seen component order through the stamped side->slot map.
   ++solve_stamp_;
-  int num_slots = 0;
-  egress_slot_.resize(n);
-  ingress_slot_.resize(n);
-  const auto grow_slot_arrays = [&](size_t needed) {
-    if (needed > slot_consumed_.size()) {
-      slot_consumed_.resize(needed);
-      slot_unfrozen_.resize(needed);
-      slot_cap_.resize(needed);
-    }
-  };
+  slot_key_.clear();
   if (identity_slots) {
-    // Spanning solve over the whole fabric (the caller vouches `component`
-    // holds every live flow): each NIC side is its own slot, slot == side key,
-    // so the stamped side->slot map and both per-flow lookups drop out in
-    // favor of straight key arithmetic. Sides with no flows cost nothing
-    // beyond their array entry: a zero degree parks their cap at +inf
-    // ((bandwidth - 0) / 0 in IEEE terms), so the bottleneck scan skips them
-    // the same way it skips exhausted slots.
-    num_slots = static_cast<int>(side_rate_sum_.size());
-    const auto ns = static_cast<size_t>(num_slots);
-    grow_slot_arrays(ns);
-    std::fill(slot_unfrozen_.begin(), slot_unfrozen_.begin() + num_slots, 0);
-    std::fill(slot_consumed_.begin(), slot_consumed_.begin() + num_slots, 0.0);
-    for (size_t i = 0; i < n; ++i) {
-      const auto e = static_cast<size_t>(EgressKey(component[i]->src));
-      const auto g = static_cast<size_t>(IngressKey(component[i]->dst));
-      egress_slot_[i] = static_cast<int>(e);
-      ingress_slot_[i] = static_cast<int>(g);
-      ++slot_unfrozen_[e];
-      ++slot_unfrozen_[g];
-    }
+    slot_key_.resize(side_rate_sum_.size());
+    std::iota(slot_key_.begin(), slot_key_.end(), 0);
   } else {
-    auto slot = [&](int key) {
-      const auto k = static_cast<size_t>(key);
-      if (slot_stamp_[k] != solve_stamp_) {
-        slot_stamp_[k] = solve_stamp_;
-        const int s = num_slots++;
-        slot_of_[k] = s;
-        grow_slot_arrays(static_cast<size_t>(num_slots));
-        slot_unfrozen_[static_cast<size_t>(s)] = 0;
-        slot_consumed_[static_cast<size_t>(s)] = 0.0;
+    for (const PairClass* cls : component) {
+      for (const int key : {EgressKey(cls->src), IngressKey(cls->dst)}) {
+        if (slot_stamp_[static_cast<size_t>(key)] != solve_stamp_) {
+          slot_stamp_[static_cast<size_t>(key)] = solve_stamp_;
+          slot_of_[static_cast<size_t>(key)] = static_cast<int>(slot_key_.size());
+          slot_key_.push_back(key);
+        }
       }
-      return slot_of_[k];
-    };
-    for (size_t i = 0; i < n; ++i) {
-      egress_slot_[i] = slot(EgressKey(component[i]->src));
-      ingress_slot_[i] = slot(IngressKey(component[i]->dst));
-      ++slot_unfrozen_[static_cast<size_t>(egress_slot_[i])];
-      ++slot_unfrozen_[static_cast<size_t>(ingress_slot_[i])];
     }
   }
-  // Slot -> flow-index adjacency in CSR form (offsets plus one flat array) —
-  // the freeze loop below walks it side by side, and a flat span beats a
-  // vector-of-vectors walk. Built with a counting pass already done above
-  // (slot_unfrozen_ holds the degrees), a prefix sum, and a fill pass that
-  // re-derives each flow's slots from the per-flow arrays.
-  slot_adj_offset_.resize(static_cast<size_t>(num_slots) + 1);
-  slot_adj_offset_[0] = 0;
-  for (int s = 0; s < num_slots; ++s) {
-    slot_adj_offset_[static_cast<size_t>(s) + 1] =
-        slot_adj_offset_[static_cast<size_t>(s)] + slot_unfrozen_[static_cast<size_t>(s)];
-  }
-  slot_adj_.resize(2 * n);
-  slot_cursor_.assign(slot_adj_offset_.begin(), slot_adj_offset_.end() - 1);
-  for (size_t i = 0; i < n; ++i) {
-    slot_adj_[static_cast<size_t>(slot_cursor_[static_cast<size_t>(egress_slot_[i])]++)] =
-        static_cast<int>(i);
-    slot_adj_[static_cast<size_t>(slot_cursor_[static_cast<size_t>(ingress_slot_[i])]++)] =
-        static_cast<int>(i);
-  }
+  const int num_slots = static_cast<int>(slot_key_.size());
+  const auto ns = static_cast<size_t>(num_slots);
+  slot_consumed_.assign(ns, 0.0);
+  slot_unfrozen_.resize(ns);
+  slot_cap_.resize(ns);
   // Progressive filling: each side carries the common fill level at which it
-  // would saturate, cached in slot_cap_ and re-derived only when a frozen flow
+  // would saturate, cached in slot_cap_ and re-derived only when a frozen class
   // changes its consumption. Each round scans the flat cap array for the
   // minimum (cap, slot) — the next bottleneck — and freezes that side's
-  // remaining flows at the running level. With dozens of sides the scan is a
+  // remaining classes at the running level. With dozens of sides the scan is a
   // handful of cache lines, and it selects exactly what an ordered frontier
   // would pop, so the freeze order (and every FP result) is as deterministic.
   // Exhausted slots park their cap at infinity, keeping the scan a bare
   // load-and-compare.
   const double bw = nic_bandwidth_.bps();
-  for (int s = 0; s < num_slots; ++s) {
-    slot_cap_[static_cast<size_t>(s)] =
-        (bw - slot_consumed_[static_cast<size_t>(s)]) /
-        slot_unfrozen_[static_cast<size_t>(s)];
+  for (size_t s = 0; s < ns; ++s) {
+    slot_unfrozen_[s] = SideFlowCount(slot_key_[s]);
+    slot_cap_[s] = (bw - slot_consumed_[s]) / slot_unfrozen_[s];
   }
-  frozen_.resize(n);
-  std::fill(frozen_.begin(), frozen_.end(), 0);
-  size_t remaining = n;
+  size_t remaining = component.size();
   double level = 0.0;
   while (remaining > 0) {
     // Two-stride argmin: each stride keeps its own first strict minimum, so
@@ -629,26 +659,26 @@ void NetworkFabricSim::SolveMaxMin(const std::vector<Flow*>& component,
     const int s = take1 ? s1 : s0;
     const double best = take1 ? best1 : best0;
     MONO_CHECK_MSG(s >= 0, "progressive filling stalled");
-    // Caps are non-decreasing as flows freeze elsewhere, so the chosen side
+    // Caps are non-decreasing as classes freeze elsewhere, so the chosen side
     // saturates at cap >= level; the max() only guards FP rounding.
     level = std::max(level, best);
-    for (int a = slot_adj_offset_[static_cast<size_t>(s)];
-         a < slot_adj_offset_[static_cast<size_t>(s) + 1]; ++a) {
-      const int idx = slot_adj_[static_cast<size_t>(a)];
-      if (frozen_[static_cast<size_t>(idx)]) {
+    const int key = slot_key_[static_cast<size_t>(s)];
+    for (PairClass* cls : SideClasses(key)) {
+      if (cls->level != 0.0) {
         continue;
       }
-      frozen_[static_cast<size_t>(idx)] = 1;
-      (*new_rates)[static_cast<size_t>(idx)] = level;
+      cls->level = level;
       --remaining;
-      // The frozen flow now consumes `level` of its other side for good; that
-      // side saturates later (or empties), so re-derive its cached cap.
-      const int other =
-          (egress_slot_[static_cast<size_t>(idx)] == s) ? ingress_slot_[static_cast<size_t>(idx)]
-                                                        : egress_slot_[static_cast<size_t>(idx)];
-      const auto o = static_cast<size_t>(other);
-      slot_consumed_[o] += level;
-      --slot_unfrozen_[o];
+      // The frozen class's k flows now consume `level` each of its other side
+      // for good; that side saturates later (or empties), so re-derive its
+      // cap. The side's other classes all have distinct other sides, so the
+      // order of this walk never changes an FP result.
+      const int other = (key % 2 == 0) ? IngressKey(cls->dst) : EgressKey(cls->src);
+      const auto o = static_cast<size_t>(identity_slots ? other
+                                                        : slot_of_[static_cast<size_t>(other)]);
+      const int k = static_cast<int>(cls->flows.size());
+      slot_consumed_[o] += level * k;
+      slot_unfrozen_[o] -= k;
       slot_cap_[o] = slot_unfrozen_[o] > 0
                          ? (bw - slot_consumed_[o]) / slot_unfrozen_[o]
                          : std::numeric_limits<double>::infinity();
@@ -658,90 +688,92 @@ void NetworkFabricSim::SolveMaxMin(const std::vector<Flow*>& component,
   }
 }
 
-double NetworkFabricSim::TopShare(int key, const Flow* except) const {
+double NetworkFabricSim::TopShare(int key, const PairClass* except) const {
   double top = 0.0;
-  for (const Flow* flow : SideFlows(key)) {
-    if (flow != except) {
-      top = std::max(top, flow->rate.bps());
+  for (const PairClass* cls : SideClasses(key)) {
+    if (cls != except) {
+      top = std::max(top, cls->rate.bps());
     }
   }
   return top;
 }
 
-void NetworkFabricSim::SortByFlowId(std::vector<Flow*>* flows) {
-  sort_scratch_.clear();
-  for (Flow* flow : *flows) {
-    sort_scratch_.emplace_back(flow->id, flow);
-  }
-  std::sort(sort_scratch_.begin(), sort_scratch_.end());
-  for (size_t i = 0; i < flows->size(); ++i) {
-    (*flows)[i] = sort_scratch_[i].second;
-  }
-}
-
-void NetworkFabricSim::ApplyRate(Flow* flow, monoutil::BytesPerSecond new_rate) {
+void NetworkFabricSim::ApplyRate(PairClass* cls, monoutil::BytesPerSecond new_rate) {
   MONO_CHECK(new_rate > monoutil::BytesPerSecond(0));
-  if (new_rate == flow->rate && flow->predicted_done >= SimTime()) {
-    // Unchanged rate: progress stays linear and the indexed completion time is
-    // still exact, so leave the flow untouched.
+  if (new_rate == cls->rate && cls->predicted_done >= SimTime()) {
+    // Unchanged rate: the clock stays linear and the indexed completion time is
+    // still exact, so leave the class untouched.
     return;
   }
-  // Advance progress under the old rate, then apply the new share.
+  // Advance the clock under the old rate, then apply the new share.
   const SimTime now = sim_->now();
-  const SimTime dt = now - flow->last_update;
-  if (dt > SimTime()) {
-    flow->remaining = std::max(0.0, flow->remaining - flow->rate.bps() * dt.seconds());
-  }
-  flow->last_update = now;
-  if (new_rate != flow->rate) {
+  cls->served = ServedAt(*cls, now);
+  cls->clock_at = now;
+  if (new_rate != cls->rate) {
     ++stats_.rate_changes;
     AccumulateSideTime(now);
-    // Move both sides' rate sums, tracking each side's saturation transition.
-    for (const int key : {EgressKey(flow->src), IngressKey(flow->dst)}) {
-      const bool was_saturated = SideSaturated(key);
-      monoutil::BytesPerSecond& sum = side_rate_sum_[static_cast<size_t>(key)];
-      sum -= flow->rate;
-      sum += new_rate;
-      if (SideSaturated(key) != was_saturated) {
-        saturated_side_count_ += was_saturated ? -1 : 1;
-      }
-    }
-    flow->rate = new_rate;
+    const double k = static_cast<double>(cls->flows.size());
+    MoveSideRate(EgressKey(cls->src), cls->rate * k, new_rate * k);
+    MoveSideRate(IngressKey(cls->dst), cls->rate * k, new_rate * k);
+    cls->rate = new_rate;
   }
-
-  // Re-key the predicted completion; the caller refreshes the single timer
-  // event once its batch of rate changes is applied.
-  IndexCompletion(flow, now + SimTime(flow->remaining / flow->rate.bps()));
+  // Re-key the head completion; the caller refreshes the single timer event
+  // once its batch of rate changes is applied.
+  IndexCompletion(cls, HeadCompletion(*cls));
 }
 
-void NetworkFabricSim::IndexCompletion(Flow* flow, SimTime at) {
-  if (flow->predicted_done < SimTime()) {
-    flow->predicted_done = at;
-    completions_.push_back(CompletionEntry{at, flow->id, flow});
+void NetworkFabricSim::MoveSideRate(int key, monoutil::BytesPerSecond remove,
+                                    monoutil::BytesPerSecond add) {
+  const bool was_saturated = SideSaturated(key);
+  monoutil::BytesPerSecond& sum = side_rate_sum_[static_cast<size_t>(key)];
+  sum -= remove;
+  sum += add;
+  if (SideSaturated(key) != was_saturated) {
+    saturated_side_count_ += was_saturated ? -1 : 1;
+  }
+}
+
+void NetworkFabricSim::CountFlow(int src, int dst, int delta) {
+  for (int* count : {&egress_count_[static_cast<size_t>(src)],
+                     &ingress_count_[static_cast<size_t>(dst)]}) {
+    busy_side_count_ -= *count > 0 ? 1 : 0;
+    *count += delta;
+    busy_side_count_ += *count > 0 ? 1 : 0;
+  }
+}
+
+void NetworkFabricSim::IndexCompletion(PairClass* cls, SimTime at) {
+  if (cls->predicted_done < SimTime()) {
+    cls->predicted_done = at;
+    completions_.push_back(CompletionEntry{at, cls->flows.front().id, cls});
     SiftCompletionUp(completions_.size() - 1);
     return;
   }
-  const SimTime from = flow->predicted_done;
-  flow->predicted_done = at;
-  const size_t slot = flow->completion_slot;
-  completions_[slot].at = at;
-  if (at < from) {
-    SiftCompletionUp(slot);
+  const CompletionEntry from = completions_[cls->completion_slot];
+  cls->predicted_done = at;
+  CompletionEntry& entry = completions_[cls->completion_slot];
+  entry.at = at;
+  entry.id = cls->flows.front().id;
+  if (CompletesBefore(entry, from)) {
+    SiftCompletionUp(cls->completion_slot);
   } else {
-    SiftCompletionDown(slot);
+    SiftCompletionDown(cls->completion_slot);
   }
 }
 
-NetworkFabricSim::FlowId NetworkFabricSim::PopCompletion() {
-  Flow* flow = completions_.front().flow;
-  flow->predicted_done = SimTime(-1.0);
+void NetworkFabricSim::RemoveCompletion(PairClass* cls) {
+  const size_t slot = cls->completion_slot;
+  cls->predicted_done = SimTime(-1.0);
   const CompletionEntry last = completions_.back();
   completions_.pop_back();
-  if (!completions_.empty()) {
-    PlaceCompletion(0, last);
-    SiftCompletionDown(0);
+  if (slot < completions_.size()) {
+    PlaceCompletion(slot, last);
+    if (slot > 0 && CompletesBefore(last, completions_[(slot - 1) / 2])) {
+      SiftCompletionUp(slot);
+    } else {
+      SiftCompletionDown(slot);
+    }
   }
-  return flow->id;
 }
 
 void NetworkFabricSim::SiftCompletionUp(size_t slot) {
@@ -784,11 +816,19 @@ void NetworkFabricSim::SkewCompletionEntryForTest(size_t slot, monoutil::SimTime
 
 void NetworkFabricSim::LowerFlowRateForTest(FlowId id, monoutil::BytesPerSecond rate) {
   FlushPending();
-  Flow* flow = FindFlow(id);
-  MONO_CHECK(flow != nullptr);
-  MONO_CHECK(rate > monoutil::BytesPerSecond(0) && rate < flow->rate);
-  ApplyRate(flow, rate);
+  PairClass* cls = ClassOf(id);
+  MONO_CHECK(cls != nullptr);
+  MONO_CHECK(rate > monoutil::BytesPerSecond(0) && rate < cls->rate);
+  ApplyRate(cls, rate);
   UpdateCompletionTimer();
+}
+
+void NetworkFabricSim::SkewFinishTagForTest(FlowId id, monoutil::Bytes delta) {
+  PairClass* cls = ClassOf(id);
+  MONO_CHECK(cls != nullptr);
+  std::find_if(cls->flows.begin(), cls->flows.end(), [id](const Flow& f) {
+    return f.id == id;
+  })->finish += static_cast<double>(delta.count());
 }
 
 void NetworkFabricSim::UpdateCompletionTimer() {
@@ -811,12 +851,13 @@ void NetworkFabricSim::UpdateCompletionTimer() {
 }
 
 void NetworkFabricSim::OnNextCompletion() {
-  // Complete every flow due now, earliest (time, id) first. Completion callbacks
-  // may start replacement flows whose patches insert new entries mid-loop, so
-  // the minimum is re-read from the heap each iteration.
+  // Complete every head flow due now, earliest (time, id) first. A class's next
+  // head with an equal finish tag is re-keyed to the same time and completes in
+  // this loop too. Completion callbacks may start replacement flows whose
+  // patches insert new entries mid-loop, so the minimum is re-read each time.
   const SimTime now = sim_->now();
   while (!completions_.empty() && completions_.front().at <= now) {
-    OnFlowComplete(PopCompletion());
+    CompleteHead(completions_.front().cls);
   }
   UpdateCompletionTimer();
 }
@@ -835,131 +876,116 @@ void NetworkFabricSim::FlushPending() {
 
   // The closure of the dirty sides is the only part of the fabric whose rates
   // can move, and a from-scratch solve of it is the max-min allocation. When
-  // the last collected closure spanned every live flow — a loaded fabric is
+  // the last collected closure spanned every live class — a loaded fabric is
   // usually one connected component — the next flushes skip the collection
-  // walk and solve the full flow list directly: a superset solve is always
+  // walk and solve the full class list directly: a superset solve is always
   // correct (disjoint components fill independently under the global-min
   // bottleneck selection, and unchanged rates are skipped on apply), it is
   // just wasted width if the fabric has since split, so the closure is
   // re-collected every few dozen flushes to revalidate.
   //
-  // Canonical order: rates are solved — and below, applied and their
-  // completions re-keyed — in ascending flow id, so the event schedule (and
-  // the run digest) depends only on the flow set, never on the traversal order
-  // that discovered it. It also canonicalizes the solver's floating-point
-  // evaluation order, which is what lets a re-solve of an unchanged
-  // sub-structure reproduce rates bit-for-bit (and ApplyRate skip them).
-  std::vector<Flow*>& component = component_scratch_;
+  // Canonical order: classes are solved, applied and re-keyed in ascending
+  // (src, dst), so the event schedule (and the run digest) depends only on the
+  // live pairs, never on the traversal that found them. It also fixes the
+  // solver's FP evaluation order, so a re-solve of an unchanged sub-structure
+  // reproduces rates bit-for-bit (and ApplyRate skips them).
+  std::vector<PairClass*>& component = component_scratch_;
   bool spanning = false;
   if (spanning_revalidate_ > 0) {
     --spanning_revalidate_;
-    component.assign(flows_by_id_.begin(), flows_by_id_.end());
+    ListClasses(&component);
     spanning = true;
   } else {
     CollectFromSides(dirty_sides_, &component);
-    if (component.size() == flows_by_id_.size()) {
+    if (component.size() == num_classes_) {
       spanning_revalidate_ = kSpanningRevalidateInterval;
-      component.assign(flows_by_id_.begin(), flows_by_id_.end());
+      ListClasses(&component);
       spanning = true;
     } else {
-      SortByFlowId(&component);
+      std::sort(component.begin(), component.end(), PairBefore);
     }
   }
-  SolveMaxMin(component, &rates_scratch_, /*identity_slots=*/spanning);
+  SolveMaxMin(component, /*identity_slots=*/spanning);
   ++stats_.solves;
-  stats_.flows_touched += component.size();
   dirty_sides_.clear();
   ++dirty_stamp_;
 
-  for (size_t i = 0; i < component.size(); ++i) {
-    Flow* flow = component[i];
+  for (PairClass* cls : component) {
+    stats_.flows_touched += cls->flows.size();
     // Same skip ApplyRate makes, hoisted: most of a re-solved component keeps
     // its rates bit-for-bit, so the call itself is the cost worth dodging.
-    if (monoutil::BytesPerSecond(rates_scratch_[i]) == flow->rate &&
-        flow->predicted_done >= SimTime()) {
+    if (monoutil::BytesPerSecond(cls->level) == cls->rate && cls->predicted_done >= SimTime()) {
       continue;
     }
-    ApplyRate(flow, monoutil::BytesPerSecond(rates_scratch_[i]));
+    ApplyRate(cls, monoutil::BytesPerSecond(cls->level));
   }
   UpdateCompletionTimer();
-  if (trace_enabled_ || monotrace::Tracer::current() != nullptr) {
-    for (const Flow* flow : component) {
-      touched_scratch_.push_back(flow->dst);
+  if (TracingIngress()) {
+    for (const PairClass* cls : component) {
+      touched_scratch_.push_back(cls->dst);
     }
     RecordIngressTouched(touched_scratch_);
   }
 }
 
+bool NetworkFabricSim::TracingIngress() const {
+  return trace_enabled_ || monotrace::Tracer::current() != nullptr;
+}
+
 void NetworkFabricSim::RecordIngressTouched(const std::vector<int>& machines) {
-  if (trace_enabled_) {
-    RecordIngressRates(machines);
-  }
-  if (monotrace::Tracer* tracer = monotrace::Tracer::current()) {
-    for (const int machine : machines) {
-      double total = 0.0;
-      for (const Flow* flow : ingress_flows_[static_cast<size_t>(machine)]) {
-        total += flow->rate.bps();
-      }
+  monotrace::Tracer* tracer = monotrace::Tracer::current();
+  for (const int machine : machines) {
+    double total = 0.0;
+    for (const PairClass* cls : ingress_classes_[static_cast<size_t>(machine)]) {
+      total += cls->rate.bps() * static_cast<double>(cls->flows.size());
+    }
+    if (trace_enabled_) {
+      ingress_traces_[static_cast<size_t>(machine)].Record(sim_->now(), total);
+    }
+    if (tracer != nullptr) {
       tracer->Counter("devices", "machine" + std::to_string(machine) + ".nic-in",
                       sim_->now().seconds(), total / nic_bandwidth_.bps());
     }
   }
 }
 
-void NetworkFabricSim::OnFlowComplete(FlowId id) {
-  const auto by_id = std::lower_bound(
-      flows_by_id_.begin(), flows_by_id_.end(), id,
-      [](const Flow* f, FlowId v) { return f->id < v; });
-  MONO_CHECK(by_id != flows_by_id_.end() && (*by_id)->id == id);
-  Flow* flow = *by_id;
-
+void NetworkFabricSim::CompleteHead(PairClass* cls) {
   // Guard against firing while a rate change left residual bytes.
   const SimTime now = sim_->now();
-  const SimTime dt = now - flow->last_update;
-  flow->remaining = std::max(0.0, flow->remaining - flow->rate.bps() * dt.seconds());
-  flow->last_update = now;
-  MONO_CHECK_MSG(
-      flow->remaining <= std::max(flow->rate.bps(), 1.0) * kCompletionEpsilonSeconds,
-      "flow completion fired early");
-
-  const int src = flow->src;
-  const int dst = flow->dst;
-  const monoutil::BytesPerSecond rate = flow->rate;
-  InlineCallback done = std::move(flow->done);
+  MONO_CHECK_MSG(cls->flows.front().finish - ServedAt(*cls, now) <=
+                     std::max(cls->rate.bps(), 1.0) * kCompletionEpsilonSeconds,
+                 "flow completion fired early");
   // Decide on the local patch while the departing flow still counts in its
-  // sides' lists and rate sums (the decision reads both).
-  const bool patched = CanPatchDeparture(*flow);
-
-  auto erase_from = [](std::vector<Flow*>& list, Flow* target) {
-    list.erase(std::remove(list.begin(), list.end(), target), list.end());
-  };
-  erase_from(egress_flows_[static_cast<size_t>(src)], flow);
-  erase_from(ingress_flows_[static_cast<size_t>(dst)], flow);
-  AccumulateSideTime(now);
-  --egress_count_[static_cast<size_t>(src)];
-  --ingress_count_[static_cast<size_t>(dst)];
-  if (egress_count_[static_cast<size_t>(src)] == 0) {
-    --busy_side_count_;
-  }
-  if (ingress_count_[static_cast<size_t>(dst)] == 0) {
-    --busy_side_count_;
-  }
-  for (const int key : {EgressKey(src), IngressKey(dst)}) {
-    const bool was_saturated = SideSaturated(key);
-    side_rate_sum_[static_cast<size_t>(key)] -= rate;
-    if (SideSaturated(key) != was_saturated) {
-      saturated_side_count_ += was_saturated ? -1 : 1;
-    }
-  }
+  // sides' counts and rate sums (the decision reads both).
+  const bool patched = CanPatchDeparture(*cls);
+  std::pop_heap(cls->flows.begin(), cls->flows.end(), FinishesAfter);
+  Flow flow = std::move(cls->flows.back());
+  cls->flows.pop_back();
+  const auto by_id = std::lower_bound(
+      flows_by_id_.begin(), flows_by_id_.end(), flow.id,
+      [](const std::pair<FlowId, PairClass*>& f, FlowId v) { return f.first < v; });
+  MONO_CHECK(by_id != flows_by_id_.end() && by_id->first == flow.id);
   flows_by_id_.erase(by_id);
-  // Recycle before `done()` runs: the callback may start a replacement flow,
-  // which is welcome to reuse this very slot (everything it needs was copied
-  // into locals above).
-  FreeFlow(flow);
+
+  const int src = cls->src;
+  const int dst = cls->dst;
+  AccumulateSideTime(now);
+  CountFlow(src, dst, -1);
+  MoveSideRate(EgressKey(src), cls->rate, monoutil::BytesPerSecond());
+  MoveSideRate(IngressKey(dst), cls->rate, monoutil::BytesPerSecond());
+  // Retire before `done()` runs: the callback may start a replacement flow,
+  // which is welcome to reuse this very class slot.
+  if (cls->flows.empty()) {
+    RetireClass(cls);
+  } else {
+    IndexCompletion(cls, HeadCompletion(*cls));
+  }
 
   if (patched) {
     ++stats_.patched_departures;
-    RecordIngressTouched({dst});
+    if (TracingIngress()) {
+      RecordIngressTouched({dst});
+    }
   } else {
     ++stats_.batched_changes;
     MarkDirty(src, dst);
@@ -967,7 +993,7 @@ void NetworkFabricSim::OnFlowComplete(FlowId id) {
   static monotrace::MetricCounter* flows_metric =
       monotrace::MetricsRegistry::Global().Get("fabric.flows_completed");
   flows_metric->Increment();
-  done();
+  flow.done();
 }
 
 int NetworkFabricSim::ingress_flows(int machine) const {
@@ -1001,9 +1027,9 @@ monoutil::SimTime NetworkFabricSim::saturated_side_seconds() const {
 
 monoutil::BytesPerSecond NetworkFabricSim::flow_rate(FlowId id) const {
   FlushPendingConst();
-  const Flow* flow = FindFlow(id);
-  MONO_CHECK_MSG(flow != nullptr, "flow_rate: unknown or completed flow");
-  return flow->rate;
+  const PairClass* cls = ClassOf(id);
+  MONO_CHECK_MSG(cls != nullptr, "flow_rate: unknown or completed flow");
+  return cls->rate;
 }
 
 std::vector<NetworkFabricSim::FlowInfo> NetworkFabricSim::ActiveFlows() const {
@@ -1011,8 +1037,8 @@ std::vector<NetworkFabricSim::FlowInfo> NetworkFabricSim::ActiveFlows() const {
   std::vector<FlowInfo> infos;
   infos.reserve(flows_by_id_.size());
   // The registry is already in ascending id order — the snapshot inherits it.
-  for (const Flow* flow : flows_by_id_) {
-    infos.push_back(FlowInfo{flow->id, flow->src, flow->dst, flow->rate});
+  for (const auto& [id, cls] : flows_by_id_) {
+    infos.push_back(FlowInfo{id, cls->src, cls->dst, cls->rate});
   }
   return infos;
 }
@@ -1023,16 +1049,6 @@ void NetworkFabricSim::EnableTrace() {
     if (ingress_traces_[m].empty()) {
       ingress_traces_[m].Record(sim_->now(), 0.0);
     }
-  }
-}
-
-void NetworkFabricSim::RecordIngressRates(const std::vector<int>& machines) {
-  for (int machine : machines) {
-    double total = 0.0;
-    for (const Flow* flow : ingress_flows_[static_cast<size_t>(machine)]) {
-      total += flow->rate.bps();
-    }
-    ingress_traces_[static_cast<size_t>(machine)].Record(sim_->now(), total);
   }
 }
 

@@ -9,18 +9,24 @@
 // is therefore work-conserving: capacity one flow cannot use (because it is
 // bottlenecked elsewhere) is redistributed to the flows that can.
 //
-// The previous model gave each flow min(egress share at src, ingress share at dst)
-// with each NIC splitting equally among the flows it carries. That is exact for
-// symmetric all-to-all shuffles but strands capacity under asymmetric fan-in/out —
-// with flows m0→m1, m0→m1, m0→m2, m4→m2 it gave the fourth flow bw/2 where max-min
-// gives 2bw/3 — distorting exactly the asymmetric shuffle-fetch patterns that
-// distinguish Spark's many-concurrent-fetch behaviour from the monotasks
-// receiver-driven scheduler (§3.4). The audit's max-min-bottleneck check bounds
-// rates from below and catches such a stranded rate; the test-only
-// LowerFlowRateForTest hook plants one to demonstrate it.
+// A min-of-equal-shares model would strand capacity under asymmetric fan-in/out
+// (m0→m1, m0→m1, m0→m2, m4→m2 gives the fourth flow bw/2 where max-min gives
+// 2bw/3), distorting the shuffle-fetch patterns that separate Spark from the
+// monotasks receiver-driven scheduler (§3.4). The audit's max-min-bottleneck
+// check bounds rates from below and catches such a stranded rate.
 //
-// Incremental solving is organised around three mechanisms (DESIGN §4):
+// Incremental solving is organised around pair classes and three mechanisms
+// (DESIGN §4):
 //
+//  * Pair classes. All live flows with the same (src, dst) form one class.
+//    Max-min gives flows with identical constraints identical rates, and no
+//    patch below ever splits a pair, so the solver, the side lists and the
+//    completion index all work on classes: a class carries one rate and a
+//    virtual clock (bytes served per flow since the class became non-empty).
+//    Each flow keeps a fixed finish tag (clock at arrival + bytes) in its
+//    class's small (finish, id) heap, so a rate change advances one clock and
+//    moves one completion entry however many flows the pair carries. This is
+//    GPS virtual time on a flow-level fabric.
 //  * Epoch batching. All flow arrivals and departures carrying one simulation
 //    timestamp are coalesced into a single progressive-filling pass, run from the
 //    Simulation's end-of-epoch hook (Simulation::AtEpochEnd) just before the
@@ -28,34 +34,27 @@
 //    queries (flow_rate, ActiveFlows, the audit) flush pending work first, so
 //    callers never observe the transient mid-epoch state.
 //  * Side rate sums. Every NIC side keeps only the running sum of its flows'
-//    rates, updated in O(1) per rate change. The few decisions that need a
-//    side's top share (the local patches below) scan that side's flow list,
-//    which carries a handful of flows: a rare short scan costs less than
-//    keeping every side sorted through every rate change.
+//    rates, updated in O(1) per class rate change. The few decisions that need
+//    a side's top share (the local patches below) scan that side's class list.
 //  * Local patches and closure solves. A single arrival or departure whose
 //    delta provably cannot change the saturated-side structure is absorbed by a
-//    local patch instead of any re-solve: an arrival that fits the free
-//    capacity of both its sides with no larger share on a side it saturates, or
-//    a departure whose rate strictly exceeds every other flow's on each of its
-//    saturated sides (so nobody was bottlenecked behind it). Every other change
-//    is batched, and the flush solves the closure of the dirty sides — every
-//    flow transitively sharing a NIC side with a changed endpoint — from
-//    scratch. Rates outside that connected component cannot change, so the
-//    closure is always sufficient, and a from-scratch solve is max-min fair by
-//    construction (DESIGN §8). A loaded fabric is usually one component: once a
-//    collected closure spans every live flow, the next few dozen flushes solve
-//    the whole flow list directly and skip the collection walk.
+//    local patch instead of any re-solve: an arrival opening a new pair that
+//    fits the free capacity of both its sides with no larger share on a side it
+//    saturates, or the departure of a pair's sole flow whose rate strictly
+//    exceeds every other class's on each of its saturated sides. Every other
+//    change is batched, and the flush solves the closure of the dirty sides —
+//    every class transitively sharing a NIC side with a changed endpoint — from
+//    scratch. Rates outside that connected component cannot change, and a
+//    from-scratch solve is max-min fair by construction (DESIGN §8). A loaded
+//    fabric is usually one component: once a collected closure spans every live
+//    class, the next few dozen flushes solve the whole class list directly.
 //
 // Completion events go through a fabric-owned index rather than the simulation
-// queue: each flow's predicted completion time lives in an indexed binary
-// min-heap keyed on (time, id), each flow remembering its heap slot, and a
-// single "next completion" event tracks the minimum. A rate change then re-keys
-// the flow with one O(log n) sift instead of cancelling and rescheduling a
-// per-flow simulation event — the dominant cost of churn once solving itself
-// is batched, since a max-min cascade re-times many completions per delta. Rates
-// are solved and applied in ascending flow-id order, and the heap pops in
-// ascending (time, id) order, so the event schedule (and the run digest) never
-// depends on traversal order.
+// queue: each class's head completion lives in an indexed binary min-heap keyed
+// on (time, head flow id), and a single "next completion" event tracks the
+// minimum. Classes are solved and applied in ascending pair order and the heap
+// pops in ascending (time, id) order, so the event schedule (and the run
+// digest) never depends on traversal order.
 #ifndef MONOTASKS_SRC_CLUSTER_NETWORK_H_
 #define MONOTASKS_SRC_CLUSTER_NETWORK_H_
 
@@ -138,8 +137,8 @@ class NetworkFabricSim : public Auditable {
   // per solve, so touched/solves is the mean re-solved component size.
   struct SolverStats {
     uint64_t solves = 0;             // Progressive-filling passes run.
-    uint64_t flows_touched = 0;      // Σ component sizes across those passes.
-    uint64_t rate_changes = 0;       // Rate installs that actually changed a rate.
+    uint64_t flows_touched = 0;      // Σ component sizes (in flows) across those passes.
+    uint64_t rate_changes = 0;       // Class rate installs that actually changed a rate.
     uint64_t epochs_flushed = 0;     // End-of-epoch flushes that found dirty state.
     uint64_t batched_changes = 0;    // Arrivals/departures coalesced into flushes.
     uint64_t patched_arrivals = 0;   // Arrivals absorbed by the local patch.
@@ -162,45 +161,71 @@ class NetworkFabricSim : public Auditable {
   const RateTrace& ingress_trace(int machine) const;
   double MeanIngressUtilization(int machine, SimTime from, SimTime to) const;
 
-  // Invariant auditing (audit.h): flow counts consistent with the per-machine flow
-  // lists (both directions), the side rate sums consistent with the flow rates,
-  // the completion heap indexing exactly the rated flows in heap order,
-  // per-NIC ingress/egress rate sums within the NIC bandwidth, flow rates
-  // non-negative, every flow's rate certified max-min fair (it touches at least
-  // one saturated NIC side where no flow has a larger share), and no flows left
-  // when the simulation drains. Pending epoch work is flushed first, so the audit
-  // always certifies the batched solution, never the mid-epoch transient.
+  // Invariant auditing (audit.h): flow counts consistent with the per-machine
+  // class lists (both directions) and the flow registry, the side rate sums
+  // consistent with the class rates, the completion heap indexing exactly the
+  // rated classes in heap order, each class's flow heap ordered on (finish, id)
+  // with no finish tag behind its class clock, per-NIC ingress/egress rate sums
+  // within the NIC bandwidth, rates non-negative, every class's rate certified
+  // max-min fair (it touches at least one saturated NIC side where no class has
+  // a larger share), and no flows left when the simulation drains. Pending epoch
+  // work is flushed first, so the audit always certifies the batched solution,
+  // never the mid-epoch transient.
   void AuditInvariants(SimAudit& audit, AuditPhase phase) const override;
 
   // Test-only corruption for the audit's negative tests: shifts the key stored
   // in completion-heap slot `slot` by `delta` without re-sifting it or touching
-  // the flow's own predicted completion time.
+  // the class's own predicted completion time.
   void SkewCompletionEntryForTest(size_t slot, monoutil::SimTime delta);
 
   // Test-only corruption for the max-min-bottleneck negative test: flushes
-  // pending epoch work, then installs `rate` (positive, below the flow's
-  // current rate) on flow `id` through ApplyRate, so the side rate sums and the
-  // completion heap stay consistent and only the stranded capacity is wrong.
+  // pending epoch work, then installs `rate` (positive, below the current rate)
+  // on flow `id`'s pair class — and so on every flow of that pair — through
+  // ApplyRate, so the side rate sums and the completion heap stay consistent
+  // and only the stranded capacity is wrong.
   void LowerFlowRateForTest(FlowId id, monoutil::BytesPerSecond rate);
 
+  // Test-only corruption for the pair-class negative test: shifts flow `id`'s
+  // finish tag by `delta` in place, without restoring its class's heap.
+  void SkewFinishTagForTest(FlowId id, monoutil::Bytes delta);
+
  private:
+  // One live flow: its fixed finish tag on the class clock (the clock's reading
+  // at arrival plus the flow's bytes) and its completion callback.
   struct Flow {
+    double finish;
     FlowId id;
-    int src;
-    int dst;
-    // Bytes still to move, fractional: fluid-model progress under a rate leaves
-    // sub-byte residues mid-transfer, so this is not an exact monoutil::Bytes.
-    double remaining;
-    monoutil::BytesPerSecond rate;
-    SimTime last_update;
     InlineCallback done;
-    // Absolute predicted completion time, mirrored in the completion heap at
-    // `completion_slot`; negative while the flow is not in the heap (not yet
-    // assigned a rate, or already popped for completion).
+  };
+  // Heap comparator for std::push_heap/pop_heap: true when `a` finishes after
+  // `b`, so the (finish, id) minimum sits at the front.
+  static bool FinishesAfter(const Flow& a, const Flow& b) {
+    return a.finish > b.finish || (a.finish == b.finish && a.id > b.id);
+  }
+
+  // Every live flow from `src` to `dst`, sharing one rate. `served` is the
+  // class clock — bytes served per flow since the class became non-empty — as
+  // of `clock_at`; only ApplyRate moves this basis, so the indexed head
+  // completion is always exactly HeadCompletion(*this) and classmates with
+  // equal finish tags complete at one bit-identical time.
+  struct PairClass {
+    int src = 0;
+    int dst = 0;
+    monoutil::BytesPerSecond rate;
+    double served = 0.0;
+    SimTime clock_at;
+    std::vector<Flow> flows;  // Min-heap on (finish, id); never empty while live.
+    // Head completion time, mirrored in the completion heap at
+    // `completion_slot`; negative while the class has no rate yet.
     SimTime predicted_done{-1.0};
     size_t completion_slot = 0;
-    uint64_t visit_stamp = 0;  // Closure membership stamp (one stamp per collection).
+    uint64_t visit_stamp = 0;  // Closure membership stamp (one per collection).
+    double level = 0.0;        // SolveMaxMin's result; 0 while unfrozen.
+    size_t audit_registered = 0;  // Audit scratch: registry entries naming this class.
   };
+  static bool PairBefore(const PairClass* a, const PairClass* b) {
+    return a->src < b->src || (a->src == b->src && a->dst < b->dst);
+  }
 
   static int EgressKey(int machine) { return 2 * machine; }
   static int IngressKey(int machine) { return 2 * machine + 1; }
@@ -211,8 +236,8 @@ class NetworkFabricSim : public Auditable {
   void MarkSideDirty(int side_key);
 
   // Runs the deferred epoch work, if any: collects the closure of the dirty
-  // sides (or reuses the full flow list while a recent closure spanned it),
-  // solves it from scratch, applies the rates in ascending flow-id order, and
+  // sides (or reuses the full class list while a recent closure spanned it),
+  // solves it from scratch, applies the rates in ascending pair order, and
   // records the touched ingress traces. Idempotent; no-op when clean.
   void FlushPending();
   // Const-context flush for the rate queries and the audit: pending epoch work is
@@ -221,81 +246,92 @@ class NetworkFabricSim : public Auditable {
   void FlushPendingConst() const { const_cast<NetworkFabricSim*>(this)->FlushPending(); }
 
   // Local absorption of a single change while the fabric is clean (no dirty
-  // sides). TryPatchArrival gives the new flow min(free egress, free ingress)
-  // when that cannot disturb the existing bottleneck structure; returns false if
-  // a full re-solve is needed. CanPatchDeparture says whether removing `flow`
-  // provably leaves every remaining rate unchanged.
-  bool TryPatchArrival(Flow* flow);
-  bool CanPatchDeparture(const Flow& flow) const;
+  // sides). TryPatchArrival gives a just-opened class's only flow min(free
+  // egress, free ingress) when that cannot disturb the existing bottleneck
+  // structure; returns false if a full re-solve is needed. CanPatchDeparture
+  // says whether removing `cls`'s head flow provably leaves every remaining
+  // rate unchanged — never for a multi-flow class, whose classmates tie at the
+  // departing flow's share and must rise.
+  bool TryPatchArrival(PairClass* cls);
+  bool CanPatchDeparture(const PairClass& cls) const;
 
-  // All flows transitively sharing a NIC side with the seed sides, appended to
-  // `component` (which is cleared first).
-  void CollectFromSides(const std::vector<int>& seed_sides, std::vector<Flow*>* component);
+  // All classes transitively sharing a NIC side with the seed sides, appended
+  // to `component` (which is cleared first).
+  void CollectFromSides(const std::vector<int>& seed_sides,
+                        std::vector<PairClass*>* component);
 
-  // The flows crossing one NIC side (egress list for even keys, ingress for odd).
-  const std::vector<Flow*>& SideFlows(int key) const {
-    return (key % 2 == 0) ? egress_flows_[static_cast<size_t>(key / 2)]
-                          : ingress_flows_[static_cast<size_t>(key / 2)];
+  // The classes crossing one NIC side (egress list for even keys, ingress for odd).
+  const std::vector<PairClass*>& SideClasses(int key) const {
+    return (key % 2 == 0) ? egress_classes_[static_cast<size_t>(key / 2)]
+                          : ingress_classes_[static_cast<size_t>(key / 2)];
+  }
+  int SideFlowCount(int key) const {
+    return (key % 2 == 0) ? egress_count_[static_cast<size_t>(key / 2)]
+                          : ingress_count_[static_cast<size_t>(key / 2)];
   }
 
-  // Reorders `flows` into ascending flow-id order (the canonical order rates are
-  // solved and applied in). Sorting (id, ptr) pairs keeps the comparisons out of
-  // the flows' cache lines.
-  void SortByFlowId(std::vector<Flow*>* flows);
+  // Progressive-filling max-min rates for `component`, written into each
+  // class's `level`. `component` must be closed under side sharing (a closure,
+  // or every live class, which `identity_slots` vouches for): each of its
+  // sides starts with its full bandwidth, so the result is a from-scratch
+  // solve whatever rates the classes held before.
+  void SolveMaxMin(const std::vector<PairClass*>& component, bool identity_slots);
 
-  // Progressive-filling max-min rates for `component`, written into `new_rates`
-  // (parallel to `component`). `component` must be closed under side sharing
-  // (a closure, or every live flow): each of its sides starts with its full
-  // bandwidth and no fixed consumption, so the result is a from-scratch solve
-  // whatever rates the flows held before. Each round freezes the flows of the
-  // side with the lowest saturation level, found by scanning the per-slot
-  // level cache. Non-const: the slot table lives in persistent scratch members
-  // so the per-epoch solve does not pay a fresh round of allocations. With
-  // `identity_slots` the caller vouches that `component` spans every live
-  // flow; slots are then the side keys themselves and the stamped side->slot
-  // map is skipped entirely.
-  void SolveMaxMin(const std::vector<Flow*>& component, std::vector<double>* new_rates,
-                   bool identity_slots);
+  // The largest rate among the classes crossing side `key`, skipping `except`;
+  // zero when no other class crosses it.
+  double TopShare(int key, const PairClass* except = nullptr) const;
 
-  // The largest rate among the flows crossing side `key`, skipping `except`;
-  // zero when no other flow crosses it.
-  double TopShare(int key, const Flow* except = nullptr) const;
+  // Advances `cls`'s clock under its old rate, then installs `new_rate`,
+  // updates the side rate sums, and re-keys the class's completion entry.
+  // Skips classes whose rate is unchanged, so symmetric recomputes cost nothing.
+  void ApplyRate(PairClass* cls, monoutil::BytesPerSecond new_rate);
+  // Side bookkeeping that tracks the saturated and busy side counts: a rate
+  // sum moved by -remove +add, and `delta` flows on both of a pair's sides.
+  void MoveSideRate(int key, monoutil::BytesPerSecond remove, monoutil::BytesPerSecond add);
+  void CountFlow(int src, int dst, int delta);
 
-  // Advances `flow`'s progress under its old rate, then installs `new_rate`,
-  // updates the side rate sums, and re-keys the flow in the completion heap.
-  // Skips flows whose rate is unchanged, so symmetric recomputes cost nothing.
-  void ApplyRate(Flow* flow, monoutil::BytesPerSecond new_rate);
+  // The class clock at `now`, and the time it reaches the head flow's tag.
+  static double ServedAt(const PairClass& cls, SimTime now) {
+    return cls.served + cls.rate.bps() * (now - cls.clock_at).seconds();
+  }
+  static SimTime HeadCompletion(const PairClass& cls) {
+    return cls.clock_at +
+           SimTime(std::max(0.0, cls.flows.front().finish - cls.served) / cls.rate.bps());
+  }
 
-  // Completion heap maintenance: IndexCompletion inserts `flow` at `at`, or
-  // re-keys it with one sift if it is already in the heap; PopCompletion
-  // removes the (time, id)-minimum and returns its flow id. Sifts keep every
-  // moved flow's completion_slot current. UpdateCompletionTimer points the
-  // single simulation event at the minimum, and OnNextCompletion completes
-  // every flow due at the fired timestamp.
+  // Completion heap maintenance: IndexCompletion inserts `cls` at `at`, or
+  // re-keys it with one sift; RemoveCompletion drops a retiring class's entry.
+  // Sifts keep every moved class's completion_slot current.
+  // UpdateCompletionTimer points the single simulation event at the minimum,
+  // and OnNextCompletion completes every head flow due at the fired timestamp.
   struct CompletionEntry {
     SimTime at;
-    FlowId id;
-    Flow* flow;
+    FlowId id;  // The class's head flow.
+    PairClass* cls;
   };
   static bool CompletesBefore(const CompletionEntry& a, const CompletionEntry& b) {
     return a.at < b.at || (a.at == b.at && a.id < b.id);
   }
-  void IndexCompletion(Flow* flow, SimTime at);
-  FlowId PopCompletion();
+  void IndexCompletion(PairClass* cls, SimTime at);
+  void RemoveCompletion(PairClass* cls);
   void SiftCompletionUp(size_t slot);
   void SiftCompletionDown(size_t slot);
   void PlaceCompletion(size_t slot, const CompletionEntry& entry) {
     completions_[slot] = entry;
-    entry.flow->completion_slot = slot;
+    entry.cls->completion_slot = slot;
   }
   void UpdateCompletionTimer();
   void OnNextCompletion();
 
   // Records the ingress rate trace and tracer counters for `machines` (deduped
-  // by the caller where it matters; harmless when repeated).
+  // by the caller where it matters). Callers check TracingIngress() — a trace
+  // or a tracer wants samples — first, so the untraced path builds no list.
+  bool TracingIngress() const;
   void RecordIngressTouched(const std::vector<int>& machines);
 
-  void OnFlowComplete(FlowId id);
+  // Completes `cls`'s head flow, retiring or re-keying the class, then
+  // patches or batches the departure.
+  void CompleteHead(PairClass* cls);
 
   // Wraps a caller's callback against the owning simulation's arena; a
   // ready-made InlineCallback passes through. Shared by the StartFlow and
@@ -313,15 +349,13 @@ class NetworkFabricSim : public Auditable {
   FlowId StartFlowImpl(int src, int dst, monoutil::Bytes bytes, InlineCallback&& done);
   void SendControlImpl(int src, int dst, InlineCallback&& deliver);
 
-  // Arena allocation: pop the free list (growing it by a block when empty) and
-  // reset the recycled struct's solver-visible fields; completed flows go back
-  // on the list. The live flow with `id`, found by binary search on the
-  // id-ordered registry; nullptr when absent.
-  Flow* AllocFlow();
-  void FreeFlow(Flow* flow) { free_flows_.push_back(flow); }
-  Flow* FindFlow(FlowId id) const;
-
-  void RecordIngressRates(const std::vector<int>& machines);
+  // The live class for (src, dst), opened (arena-allocated, put on both side
+  // lists) when absent; RetireClass undoes that once the class empties. ClassOf
+  // finds a live flow's class in the registry; nullptr when absent.
+  PairClass* ClassFor(int src, int dst);
+  void RetireClass(PairClass* cls);
+  PairClass* ClassOf(FlowId id) const;
+  void ListClasses(std::vector<PairClass*>* out) const;
 
   // Advances the side-time integrals to `now` under the current busy/saturated
   // side counts (both constant since the last accumulation). Called before any
@@ -340,68 +374,60 @@ class NetworkFabricSim : public Auditable {
   monoutil::BytesPerSecond nic_bandwidth_;
   monoutil::SimTime request_latency_;
 
-  // Flow registry: every live flow in ascending id order — the canonical solve
-  // order. Ids are assigned monotonically, so arrival is a push_back; departure
-  // (and lookup) is a binary search. Full-component solves (the common case in
-  // a loaded fabric) take this list verbatim instead of re-sorting the
-  // collected set. The structs themselves come from a pooled arena below.
-  std::vector<Flow*> flows_by_id_;
-  // Flow arena: fixed-size blocks and a LIFO free list. Pooling keeps the
-  // structs clustered in a few pages, so the solver's and audit's walks don't
-  // chase one heap allocation per flow; recycling makes steady-state churn
-  // allocation-free. Only flows_by_id_ decides identity and order — pointers
-  // never do (recycled addresses would otherwise leak into the schedule).
-  std::vector<std::unique_ptr<Flow[]>> flow_blocks_;
-  std::vector<Flow*> free_flows_;
-  std::vector<int> ingress_count_;
+  // Flow registry: every live flow's id and class, in ascending id order. Ids
+  // are assigned monotonically, so arrival is a push_back; departure (and
+  // lookup) is a binary search.
+  std::vector<std::pair<FlowId, PairClass*>> flows_by_id_;
+  // Class arena: fixed-size blocks and a LIFO free list, allocated on demand.
+  // Recycled classes keep their flow heaps' capacity, so steady-state churn is
+  // allocation-free. Only the egress lists and flows_by_id_ decide order —
+  // pointers never do (recycled addresses would otherwise leak into the schedule).
+  std::vector<std::unique_ptr<PairClass[]>> class_blocks_;
+  std::vector<PairClass*> free_classes_;
+  size_t num_classes_ = 0;
+  std::vector<int> ingress_count_;  // Flows per side.
   std::vector<int> egress_count_;
-  std::vector<std::vector<Flow*>> ingress_flows_;
-  std::vector<std::vector<Flow*>> egress_flows_;
+  // The live classes per side. Each egress list is kept in ascending dst
+  // order, so the egress lists concatenated (ListClasses) are every live class
+  // in ascending (src, dst) — the canonical solve order. Storage scales with
+  // live pairs, not machines squared.
+  std::vector<std::vector<PairClass*>> ingress_classes_;
+  std::vector<std::vector<PairClass*>> egress_classes_;
   // Sum of the rates of the flows crossing each NIC side, indexed by
-  // EgressKey/IngressKey. Maintained incrementally by flow add/remove and
-  // ApplyRate: add contributes += 0, a rate change -= old then += new, and a
-  // removal -= rate, so the sum is a fixed function of the change sequence.
+  // EgressKey/IngressKey. Maintained incrementally: a flow joining a class
+  // adds the class rate, a rate change moves rate × class size, and a
+  // departure removes one rate, so the sum is a fixed function of the change
+  // sequence.
   std::vector<monoutil::BytesPerSecond> side_rate_sum_;
-  // Predicted completion times as a binary min-heap on (time, id). One
-  // simulation event tracks the minimum; per-flow events would pay a queue
-  // cancel+reschedule for every rate change a cascade re-times.
+  // Head completion times as a binary min-heap on (time, head id), one entry
+  // per rated class. One simulation event tracks the minimum.
   std::vector<CompletionEntry> completions_;
   EventHandle next_completion_;
   SimTime next_completion_time_{-1.0};
   FlowId next_id_ = 1;
   monoutil::Bytes total_bytes_;
 
-  // Closure-collection scratch (CollectFromSides), reused across calls: flows and
-  // sides are marked visited by stamp so nothing needs clearing between runs.
+  // Closure-collection scratch (CollectFromSides), reused across calls: classes
+  // and sides are marked visited by stamp so nothing needs clearing between runs.
   uint64_t visit_stamp_ = 0;
   std::vector<uint64_t> side_visit_stamp_;
   std::vector<int> pending_sides_;
 
-  // Solver scratch (SolveMaxMin): the side-key -> slot map is stamped per solve
-  // and per-slot state keeps its capacity across solves, so the steady-state
-  // solve allocates nothing.
+  // Solver scratch (SolveMaxMin), stamped or refilled per solve; it keeps its
+  // capacity, so the steady-state solve allocates nothing.
   uint64_t solve_stamp_ = 0;
   std::vector<uint64_t> slot_stamp_;  // Side key -> last solve that used it.
   std::vector<int> slot_of_;          // Side key -> slot within that solve.
   std::vector<double> slot_consumed_;
-  std::vector<int> slot_unfrozen_;
+  std::vector<int> slot_key_;         // Slot -> side key within this solve.
+  std::vector<int> slot_unfrozen_;    // Unfrozen flows (not classes) per slot.
   std::vector<double> slot_cap_;  // Fill level at which the slot saturates.
-  // Slot -> component-flow-index adjacency, CSR layout (slot_cursor_ is the
-  // fill pass's write cursor).
-  std::vector<int> slot_adj_offset_;
-  std::vector<int> slot_adj_;
-  std::vector<int> slot_cursor_;
-  std::vector<int> egress_slot_;
-  std::vector<int> ingress_slot_;
-  std::vector<char> frozen_;
 
   // Flush scratch (FlushPending), reused across epochs.
-  std::vector<Flow*> component_scratch_;
-  std::vector<std::pair<FlowId, Flow*>> sort_scratch_;
-  std::vector<double> rates_scratch_;
+  std::vector<PairClass*> component_scratch_;
   std::vector<int> touched_scratch_;
-  // Flushes left that may take the full flow list without re-walking the
-  // closure (armed when a collected closure spans every live flow).
+  // Flushes left that may take the full class list without re-walking the
+  // closure (armed when a collected closure spans every live class).
   int spanning_revalidate_ = 0;
 
   // Epoch-batching state: the NIC sides touched by changes since the last flush,
@@ -436,6 +462,7 @@ class NetworkFabricSim : public Auditable {
   mutable std::vector<double> audit_ingress_max_;
   mutable std::vector<double> audit_egress_sum_;
   mutable std::vector<double> audit_egress_max_;
+  mutable std::vector<PairClass*> audit_classes_;
 };
 
 }  // namespace monosim

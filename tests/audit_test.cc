@@ -74,7 +74,8 @@ TEST(SimAuditTest, DetectsStrandedFabricRate) {
   // below: every flow must sit at a saturated NIC side where it has a maximal
   // share. Flows m0->m1, m0->m1, m0->m2 pin m0's egress at 100/3 each, so
   // m4->m2 deserves 200/3; lowering it to the 50 that min-of-shares gave it
-  // leaves m2's ingress and m4's egress both unsaturated.
+  // leaves m2's ingress and m4's egress both unsaturated. The hook lowers the
+  // rate of the flow's whole pair class; m4->m2 is the pair's only flow.
   Simulation sim;
   NetworkFabricSim fabric(&sim, 5, monoutil::BytesPerSecond(100.0));
   fabric.StartFlow(0, 1, monoutil::Bytes(1000), [] {});
@@ -131,6 +132,42 @@ TEST(SimAuditTest, DetectsCorruptedCompletionHeap) {
     order_flagged |= violation.invariant == "completion-index-order";
   }
   EXPECT_TRUE(membership_flagged) << audit.Summary();
+  EXPECT_TRUE(order_flagged) << audit.Summary();
+}
+
+TEST(SimAuditTest, DetectsPairClassFinishTagBehindItsClock) {
+  // Flows of one (src, dst) pair share a virtual clock (bytes served per flow)
+  // and sit in a heap on their fixed finish tags; only the head is indexed for
+  // completion. A tag pushed behind the clock from deep in the heap would never
+  // fire on time and breaks the heap order, and both pair-class checks must
+  // name it while the completion index, which only sees the head, stays clean.
+  Simulation sim;
+  NetworkFabricSim fabric(&sim, 2, monoutil::BytesPerSecond(90.0));
+  fabric.StartFlow(0, 1, monoutil::Bytes(1000), [] {});
+  fabric.StartFlow(0, 1, monoutil::Bytes(2000), [] {});
+  const auto last = fabric.StartFlow(0, 1, monoutil::Bytes(3000), [] {});
+  sim.ScheduleAt(monoutil::Seconds(5.0), [] {});
+  ASSERT_TRUE(sim.Step());  // t=5: the clock reads 150 bytes per flow.
+  {
+    SimAudit clean;
+    fabric.AuditInvariants(clean, AuditPhase::kEventBoundary);
+    ASSERT_TRUE(clean.ok()) << clean.Summary();
+  }
+  fabric.SkewFinishTagForTest(last, monoutil::Bytes(-2950));  // Tag 50 < clock 150.
+  SimAudit audit;  // Standalone: the corrupted fabric is audited, never run.
+  fabric.AuditInvariants(audit, AuditPhase::kEventBoundary);
+  ASSERT_FALSE(audit.ok());
+  bool clock_flagged = false;
+  bool order_flagged = false;
+  for (const AuditViolation& violation : audit.violations()) {
+    EXPECT_EQ(violation.source, "network-fabric");
+    EXPECT_TRUE(violation.invariant == "pair-class-clock" ||
+                violation.invariant == "pair-class-heap-order")
+        << violation.invariant;
+    clock_flagged |= violation.invariant == "pair-class-clock";
+    order_flagged |= violation.invariant == "pair-class-heap-order";
+  }
+  EXPECT_TRUE(clock_flagged) << audit.Summary();
   EXPECT_TRUE(order_flagged) << audit.Summary();
 }
 

@@ -145,6 +145,9 @@ TEST(DeterminismTest, StrongUnitTypesPreservePreRefactorDigests) {
   // promotion). The wrappers hold exactly the representation the typedefs had
   // and every arithmetic expression was preserved operation-for-operation, so
   // the event schedule -- and therefore the digest -- must be bit-identical.
+  // Re-pinned once since: the pair-class fabric (one rate and one virtual
+  // clock per (src, dst) pair) evaluates progress in a different FP order, so
+  // two rows' event times moved in the last bits. Fired counts are unchanged.
   struct Oracle {
     bool monotasks;
     int values_per_key;
@@ -153,8 +156,8 @@ TEST(DeterminismTest, StrongUnitTypesPreservePreRefactorDigests) {
   };
   static constexpr Oracle kOracles[] = {
       {false, 10, 18221792197980647928ull, 518},
-      {false, 50, 17075344493688085432ull, 518},
-      {true, 10, 11245428799122378917ull, 181},
+      {false, 50, 7608445971251280186ull, 518},
+      {true, 10, 2915116836748425211ull, 181},
       {true, 50, 6531501486197293149ull, 181},
   };
   for (const Oracle& oracle : kOracles) {

@@ -7,6 +7,8 @@
 // (maxmin_reference.h). Departures are the completions the byte sizes induce, so
 // each sequence exercises both directions of the incremental update.
 #include <cstdint>
+#include <map>
+#include <unordered_map>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -70,6 +72,72 @@ TEST(NetworkMaxMinPropertyTest, IncrementalRatesMatchReferenceSolverOnRandomChur
     // Every flush solves exactly once: there is no second solve path.
     EXPECT_EQ(fabric.solver_stats().solves, fabric.solver_stats().epochs_flushed)
         << "seed " << seed;
+  }
+}
+
+TEST(NetworkMaxMinPropertyTest, CompletionsFireWhenTheReferenceByteLedgerEmpties) {
+  // The fabric tracks progress with one virtual clock per (src, dst) pair and
+  // a fixed finish tag per flow, never with per-flow byte counts. This oracle
+  // checks that clock against an independent ledger: each flow's bytes are
+  // drained by its *reference* max-min rate integrated between event
+  // boundaries, and every completion must fire exactly when its ledger
+  // reaches zero (1e-6 relative). Bursts repeat pairs so classes hold several
+  // flows with staggered tags.
+  constexpr double kBandwidth = 100.0;
+  for (uint64_t seed = 0; seed < 60; ++seed) {
+    monoutil::Rng rng(9000 + seed);
+    const int machines = 2 + static_cast<int>(rng.NextBelow(5));  // 2..6
+    const int arrivals = 6 + static_cast<int>(rng.NextBelow(20));  // 6..25
+
+    Simulation sim;
+    NetworkFabricSim fabric(&sim, machines, monoutil::BytesPerSecond(kBandwidth));
+    std::map<NetworkFabricSim::FlowId, double> ledger;  // Bytes left, per reference.
+    std::map<NetworkFabricSim::FlowId, double> size;
+    std::unordered_map<uint64_t, double> rates;  // Reference rates since `since`.
+    SimTime since;
+    const auto advance = [&] {
+      const double dt = (sim.now() - since).seconds();
+      for (auto& [id, left] : ledger) {
+        left -= rates[id] * dt;
+      }
+      since = sim.now();
+    };
+    int completed = 0;
+    std::vector<NetworkFabricSim::FlowId> ids(static_cast<size_t>(arrivals));
+    int src = 0;
+    int dst = 1;
+    for (int i = 0; i < arrivals; ++i) {
+      if (i == 0 || rng.NextBelow(3) != 0) {  // Every third flow reuses the last pair.
+        src = static_cast<int>(rng.NextBelow(static_cast<uint64_t>(machines)));
+        dst = static_cast<int>(rng.NextBelow(static_cast<uint64_t>(machines - 1)));
+        dst += dst >= src ? 1 : 0;
+      }
+      const auto bytes = static_cast<monoutil::Bytes>(1 + rng.NextBelow(500));
+      const SimTime at = monoutil::Seconds(rng.Uniform(0.0, 4.0));
+      sim.ScheduleAt(at, [&, i, src, dst, bytes] {
+        advance();
+        ids[static_cast<size_t>(i)] = fabric.StartFlow(src, dst, bytes, [&, i] {
+          advance();
+          const NetworkFabricSim::FlowId id = ids[static_cast<size_t>(i)];
+          EXPECT_NEAR(ledger.at(id), 0.0, 1e-6 * size.at(id))
+              << "flow " << id << " completed at t=" << sim.now() << ", seed " << seed;
+          ledger.erase(id);
+          ++completed;
+        });
+        ledger[ids[static_cast<size_t>(i)]] = static_cast<double>(bytes.count());
+        size[ids[static_cast<size_t>(i)]] = static_cast<double>(bytes.count());
+      });
+    }
+    while (sim.Step()) {
+      advance();  // The old rates held up to now; the step's events may change them.
+      std::vector<testutil::ReferenceFlow> live;
+      for (const NetworkFabricSim::FlowInfo& info : fabric.ActiveFlows()) {
+        live.push_back({info.id, info.src, info.dst});
+      }
+      rates = testutil::SolveMaxMinReference(live, machines, kBandwidth);
+    }
+    EXPECT_EQ(completed, arrivals) << "seed " << seed;
+    EXPECT_TRUE(ledger.empty()) << "seed " << seed;
   }
 }
 

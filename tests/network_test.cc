@@ -1,10 +1,15 @@
 #include "src/cluster/network.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <functional>
+#include <map>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/common/rng.h"
 #include "src/simcore/audit.h"
 #include "src/simcore/simulation.h"
 
@@ -257,6 +262,85 @@ TEST(NetworkFabricTest, BatchedArrivalsResolveOnlyTheirOwnComponent) {
   EXPECT_EQ(fabric.flow_rate(b0), b0_rate);
   EXPECT_EQ(fabric.flow_rate(b1), b1_rate);
   sim.Run();
+}
+
+TEST(NetworkFabricTest, StaggeredFlowsOfOnePairCompleteInFinishTagOrder) {
+  // Three flows of pair 0->1 share its 100 B/s: A (300 B) at t=0, B (100 B) at
+  // t=1, C (30 B) at t=2. The pair's clock (bytes served per flow) reads 100
+  // at t=1 and 150 at t=2, so the finish tags are A 300, B 200, C 180. C ends
+  // when the clock gains 30 B at 100/3 B/s (t=2.9), B after 20 more at 50 B/s
+  // (t=3.3), and A after its last 100 B alone (t=4.3): tag order, which is
+  // neither id nor arrival order.
+  Simulation sim;
+  NetworkFabricSim fabric(&sim, 2, monoutil::BytesPerSecond(100.0));
+  std::vector<std::pair<char, double>> done;
+  const auto start = [&](char name, int64_t bytes) {
+    fabric.StartFlow(0, 1, Bytes(bytes), [&, name] { done.emplace_back(name, sim.now().seconds()); });
+  };
+  start('A', 300);
+  sim.ScheduleAt(monoutil::Seconds(1.0), [&] { start('B', 100); });
+  sim.ScheduleAt(monoutil::Seconds(2.0), [&] { start('C', 30); });
+  sim.Run();
+  ASSERT_EQ(done.size(), 3u);
+  EXPECT_EQ(done[0].first, 'C');
+  EXPECT_NEAR(done[0].second, 2.9, 1e-9);
+  EXPECT_EQ(done[1].first, 'B');
+  EXPECT_NEAR(done[1].second, 3.3, 1e-9);
+  EXPECT_EQ(done[2].first, 'A');
+  EXPECT_NEAR(done[2].second, 4.3, 1e-9);
+}
+
+TEST(NetworkFabricTest, DepartureFromAMultiFlowPairIsNeverPatchedAndClassmatesRise) {
+  // Two flows of pair 0->1 split its 100 B/s. When the short one leaves, its
+  // classmate tied at the same share must rise to the full 100 B/s, so the
+  // departure is batched into a solve, never patched.
+  Simulation sim;
+  NetworkFabricSim fabric(&sim, 2, monoutil::BytesPerSecond(100.0));
+  uint64_t patched_at_departure = ~uint64_t{0};
+  uint64_t batched_before = 0;
+  uint64_t batched_at_departure = 0;
+  double long_done_at = -1.0;
+  fabric.StartFlow(0, 1, Bytes(100), [&] {
+    patched_at_departure = fabric.solver_stats().patched_departures;
+    batched_at_departure = fabric.solver_stats().batched_changes;
+  });
+  const auto survivor =
+      fabric.StartFlow(0, 1, Bytes(300), [&] { long_done_at = sim.now().seconds(); });
+  EXPECT_EQ(fabric.flow_rate(survivor), monoutil::BytesPerSecond(50.0));
+  batched_before = fabric.solver_stats().batched_changes;
+  sim.ScheduleAt(monoutil::Seconds(2.5), [&] {
+    EXPECT_EQ(fabric.flow_rate(survivor), monoutil::BytesPerSecond(100.0));
+  });
+  sim.Run();
+  EXPECT_EQ(patched_at_departure, 0u);
+  EXPECT_EQ(batched_at_departure, batched_before + 1);
+  EXPECT_NEAR(long_done_at, 4.0, 1e-9);  // 100 B by t=2, then 200 B at 100 B/s.
+}
+
+TEST(NetworkFabricTest, ClassmatesReportEqualRatesAfterEveryFlush) {
+  // Flows of one (src, dst) pair form one class with one rate: after every
+  // event (each query flushes pending epoch work first), all live flows of a
+  // pair report bit-identical rates, whatever their sizes and arrival times.
+  Simulation sim;
+  NetworkFabricSim fabric(&sim, 4, monoutil::BytesPerSecond(100.0));
+  monoutil::Rng rng(3);
+  for (int i = 0; i < 40; ++i) {
+    const int src = static_cast<int>(rng.NextBelow(2));
+    const int dst = 2 + static_cast<int>(rng.NextBelow(2));
+    const auto bytes = Bytes(static_cast<int64_t>(1 + rng.NextBelow(300)));
+    sim.ScheduleAt(monoutil::Seconds(rng.Uniform(0.0, 4.0)),
+                   [&fabric, src, dst, bytes] { fabric.StartFlow(src, dst, bytes, [] {}); });
+  }
+  size_t shared_checks = 0;
+  while (sim.Step()) {
+    std::map<std::pair<int, int>, monoutil::BytesPerSecond> pair_rate;
+    for (const NetworkFabricSim::FlowInfo& info : fabric.ActiveFlows()) {
+      const auto [it, fresh] = pair_rate.emplace(std::make_pair(info.src, info.dst), info.rate);
+      EXPECT_EQ(it->second, info.rate) << "flow " << info.id << " at t=" << sim.now();
+      shared_checks += fresh ? 0 : 1;
+    }
+  }
+  EXPECT_GT(shared_checks, 0u) << "no pair ever carried two flows at once";
 }
 
 TEST(NetworkFabricTest, FlowRateIsMinOfEndpointShares) {

@@ -8,6 +8,12 @@ to catch order-of-magnitude regressions of the kind that motivated it — the
 max-min fabric shipping at 4.8x below the legacy model — not 10% wobble.
 Scenarios without a --gate are printed for trend inspection but never fail.
 
+A gated scenario's deterministic fields (DETERMINISTIC_FIELDS: events, queue
+peak, digest and the fabric solver's work counters) must also equal the
+baseline's exactly. They are noise-free, so any difference is an algorithmic
+change: the gate names the field, and the baseline must be re-recorded with a
+reason.
+
 Each --pair NAME:OTHER:MIN_RATIO[:MAX_RATIO] compares two scenarios *within
 the current run* (immune to runner speed): NAME's events_per_sec must be at
 least MIN_RATIO times OTHER's. This is the telemetry-overhead gate: the
@@ -35,6 +41,35 @@ import json
 import sys
 
 
+DETERMINISTIC_FIELDS = (
+    "events",
+    "max_queue",
+    "digest",
+    "solves",
+    "flows_touched",
+    "rate_changes",
+    "epochs_flushed",
+    "batched_changes",
+    "patched_arrivals",
+    "patched_departures",
+)
+
+
+def counter_mismatches(name, current, baseline):
+    """One failure line per deterministic field that differs from the baseline."""
+    failures = []
+    for field in DETERMINISTIC_FIELDS:
+        if field not in current and field not in baseline:
+            continue
+        now, then = current.get(field), baseline.get(field)
+        if now != then:
+            failures.append(
+                f"{name}: {field} is {now} but the baseline records {then}; "
+                f"the algorithm changed, re-record with a reason"
+            )
+    return failures
+
+
 def load_scenarios(path):
     with open(path) as f:
         doc = json.load(f)
@@ -50,7 +85,10 @@ def main():
         action="append",
         default=[],
         metavar="NAME:MIN_RATIO",
-        help="fail if current events_per_sec < MIN_RATIO * baseline's",
+        help=(
+            "fail if current events_per_sec < MIN_RATIO * baseline's, or if "
+            "any deterministic field differs from the baseline's"
+        ),
     )
     parser.add_argument(
         "--pair",
@@ -88,7 +126,9 @@ def main():
         line = f"{name:<{width}}  {eps:>12,.0f} ev/s  {ratio:6.2f}x baseline"
         if name in gates:
             floor = gates[name]
-            verdict = "ok" if ratio >= floor else "FAIL"
+            mismatches = counter_mismatches(name, scenario, base)
+            failures.extend(mismatches)
+            verdict = "ok" if ratio >= floor and not mismatches else "FAIL"
             line += f"  [gate >= {floor:.2f}x: {verdict}]"
             if ratio < floor:
                 failures.append(
