@@ -1,6 +1,7 @@
-// Simcore/fabric microbenchmark: the perf baseline for the simulator's two hot
-// paths — the event queue (schedule/cancel/fire) and the network fabric's rate
-// recomputation. Emits BENCH_simcore.json so perf work is measured, not asserted.
+// Simcore/fabric microbenchmark: the perf baseline for the simulator's hot
+// paths — the event queue (schedule/cancel/fire), the fluid servers that model
+// every CPU and disk, and the network fabric's rate recomputation. Emits
+// BENCH_simcore.json so perf work is measured, not asserted.
 //
 // The cancel-churn scenarios run the same workload with tombstone compaction
 // disabled ("before": cancelled entries sit in the heap until their virtual time,
@@ -15,8 +16,13 @@
 // patched/batched deltas) so a throughput change can be attributed to solver
 // work, not guessed.
 //
+// The fluid churn scenario drives FluidServer's submit/complete cycle and
+// records its work counters (class rate changes, completion-timer re-arms,
+// completions), the fluid-server analogue of the fabric's solver counters.
+//
 // Usage: simcore_bench [output.json]   (default ./BENCH_simcore.json)
 // MONO_BENCH_FILTER=<substring> runs only matching scenarios (profiling aid).
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -35,6 +41,7 @@
 #include "src/common/rng.h"
 #include "src/common/tracing/metrics_registry.h"
 #include "src/simcore/audit.h"
+#include "src/simcore/fluid_server.h"
 #include "src/simcore/simulation.h"
 
 namespace {
@@ -61,6 +68,8 @@ struct Scenario {
   uint64_t digest;        // Simulation::digest(): must match across same-build runs.
   bool has_solver_stats = false;  // Fabric scenarios carry the solver counters.
   monosim::NetworkFabricSim::SolverStats solver;
+  bool has_fluid_stats = false;  // Fluid scenarios carry the servers' summed counters.
+  monosim::FluidServer::Stats fluid;
 };
 
 double Elapsed(std::chrono::steady_clock::time_point start) {
@@ -169,6 +178,68 @@ Scenario BenchFabricChurn(const char* name, bool audited, bool telemetry = true)
   return s;
 }
 
+// Seeded submit/complete churn through FluidServer, the model behind every
+// CPU and disk monotask: an 8-core CPU pool with a one-core per-request cap
+// and an HDD (seek-degraded capacity, mixed contention weights, share weight
+// 1 as DiskSim submits). Each lane resubmits on completion, half the time at
+// once and otherwise after a short seeded pause, so the pool swings between
+// under- and oversubscribed and the HDD's capacity moves with every change.
+Scenario BenchFluidChurn(const char* name) {
+  constexpr int kCpuLanes = 12;
+  constexpr int kDiskLanes = 4;
+  constexpr int kRequestsPerLane = 8000;
+  monosim::Simulation sim;
+  monosim::FluidServer cpu(&sim, "cpu", monosim::ConstantCapacity(8.0),
+                           /*per_request_cap=*/1.0);
+  monosim::FluidServer disk(&sim, "hdd", monosim::HddCapacity(100e6, 0.3));
+  monoutil::Rng rng(11);
+  size_t max_queue = 0;
+  std::function<void(monosim::FluidServer*, int)> launch = [&](monosim::FluidServer* server,
+                                                               int remaining) {
+    if (remaining == 0) {
+      return;
+    }
+    const bool is_disk = server == &disk;
+    const double amount = is_disk ? 1e5 * static_cast<double>(1 + rng.NextBelow(64))
+                                  : 0.01 * static_cast<double>(1 + rng.NextBelow(100));
+    const double weight = is_disk && rng.NextBelow(4) == 0 ? 3.0 : 1.0;
+    const auto submit = [&, server, remaining, amount, weight] {
+      server->Submit(
+          amount,
+          [&, server, remaining] {
+            max_queue = std::max(max_queue, sim.queue_size());
+            launch(server, remaining - 1);
+          },
+          weight, /*share_weight=*/1.0);
+    };
+    if (rng.NextBelow(2) == 0) {
+      submit();
+    } else {
+      sim.ScheduleAfter(monoutil::Seconds(0.001 * static_cast<double>(rng.NextBelow(50))),
+                        submit, "think");
+    }
+  };
+  const auto start = std::chrono::steady_clock::now();
+  for (int lane = 0; lane < kCpuLanes; ++lane) {
+    launch(&cpu, kRequestsPerLane);
+  }
+  for (int lane = 0; lane < kDiskLanes; ++lane) {
+    launch(&disk, kRequestsPerLane);
+  }
+  sim.Run();
+  const double seconds = Elapsed(start);
+  const auto events = sim.fired_events();
+  Scenario s{name, events, seconds, events / seconds, static_cast<uint64_t>(max_queue),
+             sim.digest()};
+  s.has_fluid_stats = true;
+  for (const monosim::FluidServer* server : {&cpu, &disk}) {
+    s.fluid.rate_changes += server->stats().rate_changes;
+    s.fluid.timer_rearms += server->stats().timer_rearms;
+    s.fluid.completions += server->stats().completions;
+  }
+  return s;
+}
+
 void WriteJson(const std::string& path, const std::vector<Scenario>& scenarios) {
   std::ofstream out(path);
   out << "{\n  \"bench\": \"simcore\",\n  \"scenarios\": [\n";
@@ -197,6 +268,14 @@ void WriteJson(const std::string& path, const std::vector<Scenario>& scenarios) 
                     static_cast<unsigned long long>(s.solver.batched_changes),
                     static_cast<unsigned long long>(s.solver.patched_arrivals),
                     static_cast<unsigned long long>(s.solver.patched_departures));
+      out << line;
+    }
+    if (s.has_fluid_stats) {
+      std::snprintf(line, sizeof(line),
+                    ", \"rate_changes\": %llu, \"timer_rearms\": %llu, \"completions\": %llu",
+                    static_cast<unsigned long long>(s.fluid.rate_changes),
+                    static_cast<unsigned long long>(s.fluid.timer_rearms),
+                    static_cast<unsigned long long>(s.fluid.completions));
       out << line;
     }
     out << "}" << (i + 1 < scenarios.size() ? "," : "") << "\n";
@@ -318,6 +397,9 @@ int main(int argc, char** argv) {
     scenarios.push_back(
         BenchCancelChurn(/*compaction=*/true, "cancel_churn_after_compaction"));
   }
+  if (wanted("fluid_churn")) {
+    scenarios.push_back(BestOf(3, [] { return BenchFluidChurn("fluid_churn"); }));
+  }
   // Fabric scenarios. The pair-gated maxmin on/off twins are measured as an
   // interleaved warmed pair (see BestOfPair); the audited run is measured once
   // (its baseline gate is generous enough for a single measurement).
@@ -361,6 +443,10 @@ int main(int argc, char** argv) {
                 << s.solver.rate_changes << ", batched " << s.solver.batched_changes
                 << ", patched " << s.solver.patched_arrivals << "+"
                 << s.solver.patched_departures << "]";
+    }
+    if (s.has_fluid_stats) {
+      std::cout << " [rate changes " << s.fluid.rate_changes << ", timer re-arms "
+                << s.fluid.timer_rearms << ", completions " << s.fluid.completions << "]";
     }
     std::cout << "\n";
   }

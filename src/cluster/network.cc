@@ -14,8 +14,6 @@
 namespace monosim {
 namespace {
 
-constexpr double kCompletionEpsilonSeconds = 1e-9;
-
 // How many flushes may reuse a spanning closure before it is
 // re-collected (see FlushPending): long enough to amortize the walk away,
 // short enough that a fabric that splits into components soon stops paying
@@ -102,36 +100,24 @@ void NetworkFabricSim::AuditInvariants(SimAudit& audit, AuditPhase phase) const 
   const auto heap_member_ok = [&](const PairClass& cls) {
     const size_t slot = cls.completion_slot;
     return cls.predicted_done < SimTime() ||
-           (!cls.flows.empty() && slot < completions_.size() && completions_[slot].cls == &cls &&
+           (!cls.jobs.empty() && slot < completions_.size() && completions_[slot].cls == &cls &&
             completions_[slot].at == cls.predicted_done &&
-            completions_[slot].id == cls.flows.front().id &&
-            cls.predicted_done == HeadCompletion(cls));
+            completions_[slot].id == cls.jobs.front().id &&
+            cls.predicted_done == cls.HeadCompletion());
   };
-  const auto class_heap_ok = [](const PairClass& cls) {
-    for (size_t i = 1; i < cls.flows.size(); ++i) {
-      if (FinishesAfter(cls.flows[(i - 1) / 2], cls.flows[i])) {
-        return false;
-      }
-    }
-    return true;
-  };
+  const auto class_heap_ok = [](const PairClass& cls) { return cls.HeapOrdered(); };
   // No flow's finish tag may trail the class clock by more than the epsilon a
   // completion tolerates: such a flow's completion was missed.
-  const auto clock_ok = [&](const PairClass& cls) {
-    const double floor =
-        ServedAt(cls, now) - std::max(cls.rate.bps(), 1.0) * kCompletionEpsilonSeconds;
-    return std::all_of(cls.flows.begin(), cls.flows.end(),
-                       [floor](const Flow& flow) { return flow.finish >= floor; });
-  };
+  const auto clock_ok = [&](const PairClass& cls) { return cls.ClockConsistent(now); };
   const auto size_ok = [](const PairClass& cls) {
-    return !cls.flows.empty() && cls.audit_registered == cls.flows.size();
+    return !cls.jobs.empty() && cls.audit_registered == cls.jobs.size();
   };
   const auto name_class = [&](auto&& ok, const char* what) {
     std::ostringstream d;
     for (const PairClass* cls : classes) {
       if (!ok(*cls)) {
-        d << "pair " << cls->src << "->" << cls->dst << " (" << cls->flows.size()
-          << " flows, rate " << cls->rate << ") " << what;
+        d << "pair " << cls->src << "->" << cls->dst << " (" << cls->jobs.size()
+          << " flows, rate " << cls->Rate() << ") " << what;
         break;
       }
     }
@@ -149,10 +135,10 @@ void NetworkFabricSim::AuditInvariants(SimAudit& audit, AuditPhase phase) const 
     ids_ordered = ids_ordered && (i == 0 || PairBefore(classes[i - 1], &cls));
     const size_t src = static_cast<size_t>(cls.src);
     const size_t dst = static_cast<size_t>(cls.dst);
-    const double rate = cls.rate.bps();
-    egress_sum[src] += rate * static_cast<double>(cls.flows.size());
+    const double rate = cls.rate;
+    egress_sum[src] += rate * static_cast<double>(cls.jobs.size());
     egress_max[src] = std::max(egress_max[src], rate);
-    ingress_sum[dst] += rate * static_cast<double>(cls.flows.size());
+    ingress_sum[dst] += rate * static_cast<double>(cls.jobs.size());
     ingress_max[dst] = std::max(ingress_max[dst], rate);
     rates_nonneg = rates_nonneg && rate >= 0.0;
     heap_members_ok = heap_members_ok && heap_member_ok(cls);
@@ -160,7 +146,7 @@ void NetworkFabricSim::AuditInvariants(SimAudit& audit, AuditPhase phase) const 
     class_heaps_ok = class_heaps_ok && class_heap_ok(cls);
     clocks_ok = clocks_ok && clock_ok(cls);
     sizes_ok = sizes_ok && size_ok(cls);
-    class_flows += cls.flows.size();
+    class_flows += cls.jobs.size();
   }
   heap_members_ok = heap_members_ok && indexed_classes == completions_.size();
   bool heap_ordered = true;
@@ -168,7 +154,7 @@ void NetworkFabricSim::AuditInvariants(SimAudit& audit, AuditPhase phase) const 
     heap_ordered = heap_ordered && !CompletesBefore(completions_[i], completions_[(i - 1) / 2]);
   }
   audit.ExpectLazy(rates_nonneg, now, source, "flow-rate-non-negative", [&] {
-    return name_class([](const PairClass& c) { return c.rate.bps() >= 0.0; }, "has rate < 0");
+    return name_class([](const PairClass& c) { return c.rate >= 0.0; }, "has rate < 0");
   });
   audit.ExpectLazy(heap_members_ok, now, source, "completion-index-membership", [&] {
     std::ostringstream d;
@@ -208,7 +194,7 @@ void NetworkFabricSim::AuditInvariants(SimAudit& audit, AuditPhase phase) const 
   const auto listed_flows = [](const std::vector<PairClass*>& side) {
     size_t n = 0;
     for (const PairClass* cls : side) {
-      n += cls->flows.size();
+      n += cls->jobs.size();
     }
     return n;
   };
@@ -322,8 +308,8 @@ void NetworkFabricSim::AuditInvariants(SimAudit& audit, AuditPhase phase) const 
   const auto certified = [&](const PairClass& cls) {
     const size_t src = static_cast<size_t>(cls.src);
     const size_t dst = static_cast<size_t>(cls.dst);
-    return (egress_sum[src] >= bw - eps && cls.rate.bps() >= egress_max[src] - eps) ||
-           (ingress_sum[dst] >= bw - eps && cls.rate.bps() >= ingress_max[dst] - eps);
+    return (egress_sum[src] >= bw - eps && cls.rate >= egress_max[src] - eps) ||
+           (ingress_sum[dst] >= bw - eps && cls.rate >= ingress_max[dst] - eps);
   };
   const bool all_certified = std::all_of(
       classes.begin(), classes.end(), [&](const PairClass* cls) { return certified(*cls); });
@@ -333,8 +319,8 @@ void NetworkFabricSim::AuditInvariants(SimAudit& audit, AuditPhase phase) const 
       if (!certified(*cls)) {
         const size_t src = static_cast<size_t>(cls->src);
         const size_t dst = static_cast<size_t>(cls->dst);
-        d << "flow " << cls->flows.front().id << " (" << cls->src << "->" << cls->dst
-          << ") rate " << cls->rate
+        d << "flow " << cls->jobs.front().id << " (" << cls->src << "->" << cls->dst
+          << ") rate " << cls->Rate()
           << " is not bottlenecked at a saturated NIC (egress sum "
           << egress_sum[src] << " max " << egress_max[src] << ", ingress sum "
           << ingress_sum[dst] << " max " << ingress_max[dst] << ", bandwidth "
@@ -379,10 +365,7 @@ NetworkFabricSim::PairClass* NetworkFabricSim::ClassFor(int src, int dst) {
   // key (negative = not yet indexed), the rate and the clock.
   cls->src = src;
   cls->dst = dst;
-  cls->rate = monoutil::BytesPerSecond();
-  cls->served = 0.0;
-  cls->clock_at = sim_->now();
-  cls->predicted_done = SimTime(-1.0);
+  cls->Reset(sim_->now());
   cls->visit_stamp = 0;
   egress.insert(it, cls);
   ingress_classes_[static_cast<size_t>(dst)].push_back(cls);
@@ -436,22 +419,20 @@ NetworkFabricSim::FlowId NetworkFabricSim::StartFlowImpl(int src, int dst,
   // The flow's finish tag is the class clock now plus its bytes; the clock's
   // basis stays put, so the class's indexed completion keeps its exact key.
   PairClass* cls = ClassFor(src, dst);
-  cls->flows.emplace_back(ServedAt(*cls, now) + static_cast<double>(bytes.count()), id,
-                          std::move(done));
-  std::push_heap(cls->flows.begin(), cls->flows.end(), FinishesAfter);
+  cls->Push(Flow{cls->ServedAt(now) + static_cast<double>(bytes.count()), id, std::move(done)});
   flows_by_id_.emplace_back(id, cls);  // Ids are monotonic: the back keeps the order.
 
-  if (cls->flows.size() == 1 && TryPatchArrival(cls)) {
+  if (cls->jobs.size() == 1 && TryPatchArrival(cls)) {
     ++stats_.patched_arrivals;
     return id;
   }
-  if (cls->flows.size() > 1) {
+  if (cls->jobs.size() > 1) {
     // Joining a live pair: the newcomer runs at the class rate until the flush
     // re-levels the pair, and it may be the new head.
-    MoveSideRate(EgressKey(src), monoutil::BytesPerSecond(), cls->rate);
-    MoveSideRate(IngressKey(dst), monoutil::BytesPerSecond(), cls->rate);
-    if (cls->predicted_done >= SimTime() && cls->flows.front().id == id) {
-      IndexCompletion(cls, HeadCompletion(*cls));
+    MoveSideRate(EgressKey(src), monoutil::BytesPerSecond(), cls->Rate());
+    MoveSideRate(IngressKey(dst), monoutil::BytesPerSecond(), cls->Rate());
+    if (cls->predicted_done >= SimTime() && cls->jobs.front().id == id) {
+      IndexCompletion(cls, cls->HeadCompletion());
     }
   }
   ++stats_.batched_changes;
@@ -524,7 +505,7 @@ bool NetworkFabricSim::TryPatchArrival(PairClass* cls) {
 }
 
 bool NetworkFabricSim::CanPatchDeparture(const PairClass& cls) const {
-  if (!dirty_sides_.empty() || cls.flows.size() > 1) {
+  if (!dirty_sides_.empty() || cls.jobs.size() > 1) {
     return false;  // Stale mid-epoch rates, or classmates tied at the departing share.
   }
   const double bw = nic_bandwidth_.bps();
@@ -539,7 +520,7 @@ bool NetworkFabricSim::CanPatchDeparture(const PairClass& cls) const {
     // Saturated side: the departure is invisible only if every remaining class
     // has a strictly smaller share — each is then bottlenecked (maximal) at its
     // *other*, still-saturated side and cannot rise into the freed capacity.
-    if (TopShare(key, &cls) >= cls.rate.bps() - eps) {
+    if (TopShare(key, &cls) >= cls.rate - eps) {
       return false;
     }
   }
@@ -676,7 +657,7 @@ void NetworkFabricSim::SolveMaxMin(const std::vector<PairClass*>& component,
       const int other = (key % 2 == 0) ? IngressKey(cls->dst) : EgressKey(cls->src);
       const auto o = static_cast<size_t>(identity_slots ? other
                                                         : slot_of_[static_cast<size_t>(other)]);
-      const int k = static_cast<int>(cls->flows.size());
+      const int k = static_cast<int>(cls->jobs.size());
       slot_consumed_[o] += level * k;
       slot_unfrozen_[o] -= k;
       slot_cap_[o] = slot_unfrozen_[o] > 0
@@ -692,7 +673,7 @@ double NetworkFabricSim::TopShare(int key, const PairClass* except) const {
   double top = 0.0;
   for (const PairClass* cls : SideClasses(key)) {
     if (cls != except) {
-      top = std::max(top, cls->rate.bps());
+      top = std::max(top, cls->rate);
     }
   }
   return top;
@@ -700,26 +681,25 @@ double NetworkFabricSim::TopShare(int key, const PairClass* except) const {
 
 void NetworkFabricSim::ApplyRate(PairClass* cls, monoutil::BytesPerSecond new_rate) {
   MONO_CHECK(new_rate > monoutil::BytesPerSecond(0));
-  if (new_rate == cls->rate && cls->predicted_done >= SimTime()) {
+  if (new_rate.bps() == cls->rate && cls->predicted_done >= SimTime()) {
     // Unchanged rate: the clock stays linear and the indexed completion time is
     // still exact, so leave the class untouched.
     return;
   }
   // Advance the clock under the old rate, then apply the new share.
   const SimTime now = sim_->now();
-  cls->served = ServedAt(*cls, now);
-  cls->clock_at = now;
-  if (new_rate != cls->rate) {
+  cls->Advance(now);
+  if (new_rate.bps() != cls->rate) {
     ++stats_.rate_changes;
     AccumulateSideTime(now);
-    const double k = static_cast<double>(cls->flows.size());
-    MoveSideRate(EgressKey(cls->src), cls->rate * k, new_rate * k);
-    MoveSideRate(IngressKey(cls->dst), cls->rate * k, new_rate * k);
-    cls->rate = new_rate;
+    const double k = static_cast<double>(cls->jobs.size());
+    MoveSideRate(EgressKey(cls->src), cls->Rate() * k, new_rate * k);
+    MoveSideRate(IngressKey(cls->dst), cls->Rate() * k, new_rate * k);
+    cls->rate = new_rate.bps();
   }
   // Re-key the head completion; the caller refreshes the single timer event
   // once its batch of rate changes is applied.
-  IndexCompletion(cls, HeadCompletion(*cls));
+  IndexCompletion(cls, cls->HeadCompletion());
 }
 
 void NetworkFabricSim::MoveSideRate(int key, monoutil::BytesPerSecond remove,
@@ -745,7 +725,7 @@ void NetworkFabricSim::CountFlow(int src, int dst, int delta) {
 void NetworkFabricSim::IndexCompletion(PairClass* cls, SimTime at) {
   if (cls->predicted_done < SimTime()) {
     cls->predicted_done = at;
-    completions_.push_back(CompletionEntry{at, cls->flows.front().id, cls});
+    completions_.push_back(CompletionEntry{at, cls->jobs.front().id, cls});
     SiftCompletionUp(completions_.size() - 1);
     return;
   }
@@ -753,7 +733,7 @@ void NetworkFabricSim::IndexCompletion(PairClass* cls, SimTime at) {
   cls->predicted_done = at;
   CompletionEntry& entry = completions_[cls->completion_slot];
   entry.at = at;
-  entry.id = cls->flows.front().id;
+  entry.id = cls->jobs.front().id;
   if (CompletesBefore(entry, from)) {
     SiftCompletionUp(cls->completion_slot);
   } else {
@@ -818,7 +798,7 @@ void NetworkFabricSim::LowerFlowRateForTest(FlowId id, monoutil::BytesPerSecond 
   FlushPending();
   PairClass* cls = ClassOf(id);
   MONO_CHECK(cls != nullptr);
-  MONO_CHECK(rate > monoutil::BytesPerSecond(0) && rate < cls->rate);
+  MONO_CHECK(rate > monoutil::BytesPerSecond(0) && rate < cls->Rate());
   ApplyRate(cls, rate);
   UpdateCompletionTimer();
 }
@@ -826,7 +806,7 @@ void NetworkFabricSim::LowerFlowRateForTest(FlowId id, monoutil::BytesPerSecond 
 void NetworkFabricSim::SkewFinishTagForTest(FlowId id, monoutil::Bytes delta) {
   PairClass* cls = ClassOf(id);
   MONO_CHECK(cls != nullptr);
-  std::find_if(cls->flows.begin(), cls->flows.end(), [id](const Flow& f) {
+  std::find_if(cls->jobs.begin(), cls->jobs.end(), [id](const Flow& f) {
     return f.id == id;
   })->finish += static_cast<double>(delta.count());
 }
@@ -911,10 +891,10 @@ void NetworkFabricSim::FlushPending() {
   ++dirty_stamp_;
 
   for (PairClass* cls : component) {
-    stats_.flows_touched += cls->flows.size();
+    stats_.flows_touched += cls->jobs.size();
     // Same skip ApplyRate makes, hoisted: most of a re-solved component keeps
     // its rates bit-for-bit, so the call itself is the cost worth dodging.
-    if (monoutil::BytesPerSecond(cls->level) == cls->rate && cls->predicted_done >= SimTime()) {
+    if (cls->level == cls->rate && cls->predicted_done >= SimTime()) {
       continue;
     }
     ApplyRate(cls, monoutil::BytesPerSecond(cls->level));
@@ -937,7 +917,7 @@ void NetworkFabricSim::RecordIngressTouched(const std::vector<int>& machines) {
   for (const int machine : machines) {
     double total = 0.0;
     for (const PairClass* cls : ingress_classes_[static_cast<size_t>(machine)]) {
-      total += cls->rate.bps() * static_cast<double>(cls->flows.size());
+      total += cls->rate * static_cast<double>(cls->jobs.size());
     }
     if (trace_enabled_) {
       ingress_traces_[static_cast<size_t>(machine)].Record(sim_->now(), total);
@@ -952,15 +932,11 @@ void NetworkFabricSim::RecordIngressTouched(const std::vector<int>& machines) {
 void NetworkFabricSim::CompleteHead(PairClass* cls) {
   // Guard against firing while a rate change left residual bytes.
   const SimTime now = sim_->now();
-  MONO_CHECK_MSG(cls->flows.front().finish - ServedAt(*cls, now) <=
-                     std::max(cls->rate.bps(), 1.0) * kCompletionEpsilonSeconds,
-                 "flow completion fired early");
+  MONO_CHECK_MSG(cls->HeadDue(now), "flow completion fired early");
   // Decide on the local patch while the departing flow still counts in its
   // sides' counts and rate sums (the decision reads both).
   const bool patched = CanPatchDeparture(*cls);
-  std::pop_heap(cls->flows.begin(), cls->flows.end(), FinishesAfter);
-  Flow flow = std::move(cls->flows.back());
-  cls->flows.pop_back();
+  Flow flow = cls->PopHead();
   const auto by_id = std::lower_bound(
       flows_by_id_.begin(), flows_by_id_.end(), flow.id,
       [](const std::pair<FlowId, PairClass*>& f, FlowId v) { return f.first < v; });
@@ -971,14 +947,14 @@ void NetworkFabricSim::CompleteHead(PairClass* cls) {
   const int dst = cls->dst;
   AccumulateSideTime(now);
   CountFlow(src, dst, -1);
-  MoveSideRate(EgressKey(src), cls->rate, monoutil::BytesPerSecond());
-  MoveSideRate(IngressKey(dst), cls->rate, monoutil::BytesPerSecond());
+  MoveSideRate(EgressKey(src), cls->Rate(), monoutil::BytesPerSecond());
+  MoveSideRate(IngressKey(dst), cls->Rate(), monoutil::BytesPerSecond());
   // Retire before `done()` runs: the callback may start a replacement flow,
   // which is welcome to reuse this very class slot.
-  if (cls->flows.empty()) {
+  if (cls->jobs.empty()) {
     RetireClass(cls);
   } else {
-    IndexCompletion(cls, HeadCompletion(*cls));
+    IndexCompletion(cls, cls->HeadCompletion());
   }
 
   if (patched) {
@@ -991,7 +967,7 @@ void NetworkFabricSim::CompleteHead(PairClass* cls) {
     MarkDirty(src, dst);
   }
   static monotrace::MetricCounter* flows_metric =
-      monotrace::MetricsRegistry::Global().Get("fabric.flows_completed");
+      monotrace::MetricsRegistry::Global().Get("fabric.jobs_completed");
   flows_metric->Increment();
   flow.done();
 }
@@ -1029,7 +1005,7 @@ monoutil::BytesPerSecond NetworkFabricSim::flow_rate(FlowId id) const {
   FlushPendingConst();
   const PairClass* cls = ClassOf(id);
   MONO_CHECK_MSG(cls != nullptr, "flow_rate: unknown or completed flow");
-  return cls->rate;
+  return cls->Rate();
 }
 
 std::vector<NetworkFabricSim::FlowInfo> NetworkFabricSim::ActiveFlows() const {
@@ -1038,7 +1014,7 @@ std::vector<NetworkFabricSim::FlowInfo> NetworkFabricSim::ActiveFlows() const {
   infos.reserve(flows_by_id_.size());
   // The registry is already in ascending id order — the snapshot inherits it.
   for (const auto& [id, cls] : flows_by_id_) {
-    infos.push_back(FlowInfo{id, cls->src, cls->dst, cls->rate});
+    infos.push_back(FlowInfo{id, cls->src, cls->dst, cls->Rate()});
   }
   return infos;
 }

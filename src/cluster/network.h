@@ -21,12 +21,13 @@
 //  * Pair classes. All live flows with the same (src, dst) form one class.
 //    Max-min gives flows with identical constraints identical rates, and no
 //    patch below ever splits a pair, so the solver, the side lists and the
-//    completion index all work on classes: a class carries one rate and a
-//    virtual clock (bytes served per flow since the class became non-empty).
-//    Each flow keeps a fixed finish tag (clock at arrival + bytes) in its
-//    class's small (finish, id) heap, so a rate change advances one clock and
-//    moves one completion entry however many flows the pair carries. This is
-//    GPS virtual time on a flow-level fabric.
+//    completion index all work on classes. A class is a FluidClass
+//    (simcore/fluid_class.h, the GPS virtual-time primitive FluidServer's CPU
+//    and disk models share): one rate and a virtual clock (bytes served per
+//    flow since the class became non-empty), with each flow's fixed finish
+//    tag (clock at arrival + bytes) in the class's small (finish, id) heap, so
+//    a rate change advances one clock and moves one completion entry however
+//    many flows the pair carries.
 //  * Epoch batching. All flow arrivals and departures carrying one simulation
 //    timestamp are coalesced into a single progressive-filling pass, run from the
 //    Simulation's end-of-epoch hook (Simulation::AtEpochEnd) just before the
@@ -68,6 +69,7 @@
 
 #include "src/common/domain.h"
 #include "src/simcore/audit.h"
+#include "src/simcore/fluid_class.h"
 #include "src/simcore/rate_trace.h"
 #include "src/simcore/simulation.h"
 
@@ -197,31 +199,21 @@ class NetworkFabricSim : public Auditable {
     FlowId id;
     InlineCallback done;
   };
-  // Heap comparator for std::push_heap/pop_heap: true when `a` finishes after
-  // `b`, so the (finish, id) minimum sits at the front.
-  static bool FinishesAfter(const Flow& a, const Flow& b) {
-    return a.finish > b.finish || (a.finish == b.finish && a.id > b.id);
-  }
 
-  // Every live flow from `src` to `dst`, sharing one rate. `served` is the
-  // class clock — bytes served per flow since the class became non-empty — as
-  // of `clock_at`; only ApplyRate moves this basis, so the indexed head
-  // completion is always exactly HeadCompletion(*this) and classmates with
-  // equal finish tags complete at one bit-identical time.
-  struct PairClass {
+  // Every live flow from `src` to `dst`, sharing one rate: a FluidClass
+  // (simcore/fluid_class.h) whose clock counts bytes served per flow. Only
+  // ApplyRate moves the clock's basis, so the indexed head completion is
+  // always exactly HeadCompletion() and classmates with equal finish tags
+  // complete at one bit-identical time. `predicted_done` is mirrored in the
+  // completion heap at `completion_slot`.
+  struct PairClass : FluidClass<Flow> {
     int src = 0;
     int dst = 0;
-    monoutil::BytesPerSecond rate;
-    double served = 0.0;
-    SimTime clock_at;
-    std::vector<Flow> flows;  // Min-heap on (finish, id); never empty while live.
-    // Head completion time, mirrored in the completion heap at
-    // `completion_slot`; negative while the class has no rate yet.
-    SimTime predicted_done{-1.0};
     size_t completion_slot = 0;
     uint64_t visit_stamp = 0;  // Closure membership stamp (one per collection).
     double level = 0.0;        // SolveMaxMin's result; 0 while unfrozen.
     size_t audit_registered = 0;  // Audit scratch: registry entries naming this class.
+    monoutil::BytesPerSecond Rate() const { return monoutil::BytesPerSecond(rate); }
   };
   static bool PairBefore(const PairClass* a, const PairClass* b) {
     return a->src < b->src || (a->src == b->src && a->dst < b->dst);
@@ -289,15 +281,6 @@ class NetworkFabricSim : public Auditable {
   // sum moved by -remove +add, and `delta` flows on both of a pair's sides.
   void MoveSideRate(int key, monoutil::BytesPerSecond remove, monoutil::BytesPerSecond add);
   void CountFlow(int src, int dst, int delta);
-
-  // The class clock at `now`, and the time it reaches the head flow's tag.
-  static double ServedAt(const PairClass& cls, SimTime now) {
-    return cls.served + cls.rate.bps() * (now - cls.clock_at).seconds();
-  }
-  static SimTime HeadCompletion(const PairClass& cls) {
-    return cls.clock_at +
-           SimTime(std::max(0.0, cls.flows.front().finish - cls.served) / cls.rate.bps());
-  }
 
   // Completion heap maintenance: IndexCompletion inserts `cls` at `at`, or
   // re-keys it with one sift; RemoveCompletion drops a retiring class's entry.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstdint>
 #include <sstream>
 
 #include "src/common/check.h"
@@ -19,56 +20,76 @@ constexpr int kNumResources = 3;
 
 // One boundary in the sweep: at `when`, `service_delta` monotasks of
 // `resource` enter/leave service and `queued_delta` enter/leave a queue.
+// `stage_slot` names the record's stage window, so every stage sweeps its
+// events straight out of the one job-wide sorted order. Packed into 16 bytes:
+// the array holds three events per record.
 struct SweepEvent {
   monoutil::SimTime when;
-  int resource = 0;
-  int service_delta = 0;
-  int queued_delta = 0;
+  uint32_t stage_slot = 0;
+  int8_t resource = 0;
+  int8_t service_delta = 0;
+  int8_t queued_delta = 0;
 };
 
-// Interval sweep over one window's records (see critical_path.h). Counts are
-// integers and resources are visited in enum order, so the attribution is a
-// deterministic function of the record set.
-StageCriticalPath Sweep(int stage_index, const std::vector<const MonotaskRecord*>& records) {
+// Sweeps every event when `stage_slot` is kAllStages.
+constexpr uint32_t kAllStages = UINT32_MAX;
+
+// Record aggregates of one window, indexed by MonoResource and summed in
+// record order.
+struct WindowTotals {
+  std::array<ResourceAttribution, kNumResources> resources{};
+  monoutil::SimTime start;
+  monoutil::SimTime end;
+  bool empty = true;
+
+  void Add(const MonotaskRecord& rec) {
+    ResourceAttribution& attr = resources[static_cast<size_t>(rec.resource)];
+    attr.busy_seconds += rec.service().seconds();
+    attr.queue_wait_seconds += rec.queue_wait().seconds();
+    ++attr.monotasks;
+    start = empty ? rec.ready : std::min(start, rec.ready);
+    end = empty ? rec.done : std::max(end, rec.done);
+    empty = false;
+  }
+};
+
+// Interval sweep over one window's events — those of `stage_slot` in the
+// job-wide time order (see critical_path.h). Every boundary at one instant is
+// applied before the next segment is attributed and the counts are integers,
+// so the order of events sharing a timestamp cannot change the result;
+// resources are visited in enum order, so the attribution is a deterministic
+// function of the record set.
+StageCriticalPath Sweep(int stage_index, const WindowTotals& totals,
+                        const std::vector<SweepEvent>& events, uint32_t stage_slot) {
   StageCriticalPath out;
   out.stage_index = stage_index;
-  if (records.empty()) {
+  if (totals.empty) {
     return out;
   }
+  out.start = totals.start;
+  out.end = totals.end;
 
-  std::vector<SweepEvent> events;
-  events.reserve(records.size() * 3);
-  out.start = records.front()->ready;
-  out.end = records.front()->done;
-  for (const MonotaskRecord* rec : records) {
-    const int r = static_cast<int>(rec->resource);
-    ResourceAttribution& attr = out.resources[MonoResourceName(rec->resource)];
-    attr.busy_seconds += rec->service().seconds();
-    attr.queue_wait_seconds += rec->queue_wait().seconds();
-    ++attr.monotasks;
-    out.start = std::min(out.start, rec->ready);
-    out.end = std::max(out.end, rec->done);
-    events.push_back({rec->ready, r, 0, +1});
-    events.push_back({rec->dispatch, r, +1, -1});
-    events.push_back({rec->done, r, -1, 0});
-  }
-  std::sort(events.begin(), events.end(),
-            [](const SweepEvent& a, const SweepEvent& b) { return a.when < b.when; });
-
+  const size_t n = events.size();
+  const auto next = [&](size_t i) {  // The first window event at or after i.
+    while (i < n && stage_slot != kAllStages && events[i].stage_slot != stage_slot) {
+      ++i;
+    }
+    return i;
+  };
   std::array<int, kNumResources> in_service{};
   std::array<double, kNumResources> critical{};
   int queued = 0;
-  size_t i = 0;
-  monoutil::SimTime t = events.front().when;
-  while (i < events.size()) {
+  size_t i = next(0);
+  monoutil::SimTime t = events[i].when;
+  while (i < n) {
     // Apply every boundary at time t, then attribute the segment up to the
     // next distinct boundary.
-    while (i < events.size() && events[i].when <= t) {
+    while (i < n && events[i].when <= t) {
       in_service[static_cast<size_t>(events[i].resource)] += events[i].service_delta;
       queued += events[i].queued_delta;
-      ++i;
+      i = next(i + 1);
     }
-    if (i >= events.size()) {
+    if (i >= n) {
       break;
     }
     const double dt = (events[i].when - t).seconds();
@@ -94,11 +115,14 @@ StageCriticalPath Sweep(int stage_index, const std::vector<const MonotaskRecord*
       out.idle_seconds += dt;
     }
   }
-  for (int r = 0; r < kNumResources; ++r) {
-    if (critical[static_cast<size_t>(r)] > 0) {
-      out.resources[MonoResourceName(static_cast<MonoResource>(r))].critical_seconds =
-          critical[static_cast<size_t>(r)];
+  for (size_t r = 0; r < kNumResources; ++r) {
+    if (totals.resources[r].monotasks == 0) {
+      continue;
     }
+    ResourceAttribution& attr =
+        out.resources[MonoResourceName(static_cast<MonoResource>(r))];
+    attr = totals.resources[r];
+    attr.critical_seconds = critical[r];
   }
   return out;
 }
@@ -121,17 +145,38 @@ CriticalPathReport CriticalPathReport::Build(const monosim::MonotaskLog& log) {
   CriticalPathReport report;
   report.complete_ = log.dropped() == 0;
 
-  std::map<int, std::vector<const MonotaskRecord*>> by_stage;
-  std::vector<const MonotaskRecord*> all;
-  all.reserve(log.records().size());
+  // Stage windows in ascending stage order, the order the report lists them.
+  std::map<int, uint32_t> slot_of;
   for (const MonotaskRecord& rec : log.records()) {
-    by_stage[rec.stage_index].push_back(&rec);
-    all.push_back(&rec);
+    slot_of.emplace(rec.stage_index, 0);
   }
-  for (const auto& [stage_index, records] : by_stage) {
-    report.stages_.push_back(Sweep(stage_index, records));
+  uint32_t num_stages = 0;
+  for (auto& entry : slot_of) {
+    entry.second = num_stages++;
   }
-  report.job_ = Sweep(-1, all);
+
+  // One pass over the records fills every window's aggregates and the
+  // job-wide event list, and one sort orders it; each stage then sweeps its
+  // own events in that order, skipping the rest.
+  std::vector<WindowTotals> stage_totals(num_stages);
+  WindowTotals job_totals;
+  std::vector<SweepEvent> events;
+  events.reserve(log.records().size() * 3);
+  for (const MonotaskRecord& rec : log.records()) {
+    const uint32_t slot = slot_of.at(rec.stage_index);
+    stage_totals[slot].Add(rec);
+    job_totals.Add(rec);
+    const auto r = static_cast<int8_t>(rec.resource);
+    events.push_back({rec.ready, slot, r, 0, +1});
+    events.push_back({rec.dispatch, slot, r, +1, -1});
+    events.push_back({rec.done, slot, r, -1, 0});
+  }
+  std::sort(events.begin(), events.end(),
+            [](const SweepEvent& a, const SweepEvent& b) { return a.when < b.when; });
+  for (const auto& [stage_index, stage_slot] : slot_of) {
+    report.stages_.push_back(Sweep(stage_index, stage_totals[stage_slot], events, stage_slot));
+  }
+  report.job_ = Sweep(-1, job_totals, events, kAllStages);
   return report;
 }
 

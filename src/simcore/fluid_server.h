@@ -13,10 +13,19 @@
 //   * HDD:                  capacity(n) = B / (1 + alpha * (n - 1))   (seek penalty)
 //   * SSD with k channels:  capacity(n) = B * ramp(min(n, k) / k)
 //
-// The server recomputes rates whenever the active set changes and keeps exactly one
-// pending completion event, so the event count is proportional to the request count.
-// It also integrates served work over time and can record a (time, total-rate) step
-// function for utilization plots (Figs 2 and 9 in the paper).
+// Requests of one share weight always receive one common rate, so the server
+// groups them into FluidClasses (simcore/fluid_class.h, the primitive the
+// network fabric's pair classes use too): each class has one rate, a virtual
+// clock of work served per request, and a heap of fixed finish tags. A submit
+// or completion re-runs the weighted water-fill over classes (not requests),
+// advances a class's clock only when its rate actually changes, and re-arms the
+// server's single completion event only when the earliest head completion moves
+// — O(log n) plus O(classes) per change, and the event count is proportional to
+// the request count. CPU pools and disks submit every request with share
+// weight 1, so in the simulator a server holds one class.
+//
+// The server also integrates served work over time and can record a (time,
+// total-rate) step function for utilization plots (Figs 2 and 9 in the paper).
 #ifndef MONOTASKS_SRC_SIMCORE_FLUID_SERVER_H_
 #define MONOTASKS_SRC_SIMCORE_FLUID_SERVER_H_
 
@@ -29,6 +38,7 @@
 
 #include "src/common/domain.h"
 #include "src/simcore/audit.h"
+#include "src/simcore/fluid_class.h"
 #include "src/simcore/rate_trace.h"
 #include "src/simcore/simulation.h"
 
@@ -84,7 +94,7 @@ class FluidServer : public Auditable {
   // exceeds the inline buffer) fires when the request completes. Requests are
   // serviced immediately — queueing policy belongs to the schedulers layered
   // above this class. `amount` may be zero, in which case `done` fires at the
-  // current time.
+  // current time. `amount` must be finite, and both weights finite and positive.
   //
   // `weight` (default 1) is the request's contention weight passed to the capacity
   // function — how much device capacity the request's presence costs. `share_weight`
@@ -111,7 +121,7 @@ class FluidServer : public Auditable {
   double CancelRequest(RequestId id);
 
   // Number of requests currently in service.
-  int active() const { return static_cast<int>(active_.size()); }
+  int active() const { return active_; }
 
   // Total work units served so far (integrated over time).
   double total_served() const;
@@ -144,38 +154,83 @@ class FluidServer : public Auditable {
 
   const std::string& name() const { return name_; }
 
+  // Deterministic work counters, reset-free: how many class rate installs
+  // changed a rate (each advances one class clock), how often the single
+  // completion event was (re)scheduled, and how many requests completed
+  // (cancels excluded).
+  struct Stats {
+    uint64_t rate_changes = 0;
+    uint64_t timer_rearms = 0;
+    uint64_t completions = 0;
+  };
+  const Stats& stats() const { return stats_; }
+
   // Invariant auditing (audit.h): rates non-negative and within the per-request
   // cap, total rate within the instantaneous capacity, uncapped shares proportional
-  // to weights, served work bounded by capacity × elapsed, and no requests left
-  // active when the simulation drains.
+  // to weights, served work bounded by capacity × elapsed, each class's tag heap
+  // in (finish, id) order with no tag behind its class clock, the completion
+  // event armed at the earliest head completion, and no requests left active
+  // when the simulation drains.
   void AuditInvariants(SimAudit& audit, AuditPhase phase) const override;
 
+  // Test-only corruptions for the audit's negative tests. SkewFinishTagForTest
+  // shifts request `id`'s finish tag by `delta` work units in place, without
+  // restoring its class's heap or re-arming the completion event;
+  // SkewCompletionTimerForTest re-arms the completion event `delta` away from
+  // the earliest head completion.
+  void SkewFinishTagForTest(RequestId id, double delta);
+  void SkewCompletionTimerForTest(SimTime delta);
+
  private:
-  struct Request {
+  // A request's entry in its class heap: its fixed finish tag on the class
+  // clock (the clock's reading at admission plus the request's amount) and
+  // the slot holding the rest of it. Kept to a few words so heap sifts never
+  // move a callback.
+  struct Tag {
+    double finish;
     RequestId id;
-    double remaining;
-    double weight = 1.0;        // Contention weight (capacity-function input).
-    double share_weight = 1.0;  // Fair-share weight (capacity-split input).
-    // Unit-agnostic: the server drains abstract work (bytes for disks,
-    // core-seconds for CPU).
-    // mono_lint: allow(raw-unit-double) -- abstract work units per second.
-    double rate = 0.0;
+    uint32_t slot;
+  };
+  // The rest of an active request, parked in `slots_`.
+  struct Pending {
+    double weight = 1.0;  // Contention weight (capacity-function input).
     InlineCallback done;
+  };
+  // Every active request of one share weight, sharing one rate.
+  struct ShareClass : FluidClass<Tag> {
+    double share_weight = 1.0;
+    // mono_lint: allow(raw-unit-double) -- water-fill scratch, work units per second.
+    double fill_rate = 0.0;  // The rate the current water-fill assigns; 0 while open.
   };
 
   // Shared implementation behind the Submit template.
   RequestId SubmitImpl(double amount, InlineCallback&& done, double weight,
                        double share_weight);
 
-  // Advances all active requests to the current time, then recomputes rates and
-  // reschedules the single completion event.
+  // Recomputes the class rates for the current active set (advancing the
+  // clock of each class whose rate changes) and re-arms the completion event
+  // if the earliest head completion moved.
   void Reschedule();
+  // Weighted water-fill of `capacity` over the classes, into fill_rate.
+  void FillRates(double capacity);
+  void UpdateCompletionTimer();
 
-  // Brings `remaining` up to date with progress since `last_update_`.
+  // Integrates served work and the busy/saturated time since `last_update_`.
   void AdvanceProgress();
 
-  // Fires completions for any requests that have (numerically) finished.
+  // Fires completions for every request whose tag its class clock has reached.
   void OnCompletionEvent();
+
+  // The class for `share_weight`, (re)opened on a dormant or new class when
+  // no live class carries the weight.
+  ShareClass& ClassFor(double share_weight);
+  // Adds `delta` requests of contention weight `weight` to the active multiset.
+  void CountContention(double weight, int delta);
+  // Retires an active request's slot: drops its contention weight, frees the
+  // slot and hands back its callback.
+  InlineCallback ReleaseSlot(uint32_t slot);
+  // The earliest head completion over the live classes; negative when idle.
+  SimTime EarliestHeadCompletion() const;
 
   Simulation* sim_;
   std::string name_;
@@ -183,16 +238,24 @@ class FluidServer : public Auditable {
   double per_request_cap_;
   double nominal_capacity_;
 
-  // Active requests, in admission order. A vector (not a list): submit and
-  // complete are the fabric's steady-state churn, and vector storage keeps
-  // them free of per-request node allocations once the high-water capacity is
-  // reached. Nothing holds Request pointers across events.
-  std::vector<Request> active_;
-  // Scratch for Reschedule's water-filling pass; member so its capacity
-  // persists across calls instead of reallocating per rate change.
-  std::vector<Request*> reschedule_open_;
-  // Scratch for OnCompletionEvent's harvested `done` callbacks (re-entrant
-  // invocations fall back to a local batch).
+  // One class per distinct share weight among the active requests, in order
+  // of creation. A class that empties stays as a dormant (empty) slot and is
+  // reopened for the next new weight, so the vector is bounded by the peak
+  // number of concurrent weights and steady-state churn allocates nothing.
+  std::vector<ShareClass> classes_;
+  // Active requests' weights and callbacks, indexed by Tag::slot, with a LIFO
+  // free list of vacated slots.
+  std::vector<Pending> slots_;
+  std::vector<uint32_t> free_slots_;
+  // The active requests' distinct contention weights with their counts,
+  // ascending by weight: the capacity function's input is then a function of
+  // the active multiset alone, never of admission history.
+  std::vector<std::pair<double, int>> contention_;
+  int active_ = 0;
+  double total_rate_ = 0.0;  // Granted work units per second: Σ class rate × size.
+  // Scratch for OnCompletionEvent: the due tags, and their harvested
+  // callbacks (re-entrant invocations fall back to a local batch).
+  std::vector<Tag> due_scratch_;
   std::vector<InlineCallback> done_scratch_;
   RequestId next_id_ = 1;
   SimTime last_update_;
@@ -200,7 +263,11 @@ class FluidServer : public Auditable {
   SimTime busy_seconds_;
   SimTime saturated_seconds_;
   EventHandle completion_event_;
+  // The earliest head completion the event was armed for (it fires at the
+  // later of that and the arming time); negative when disarmed.
+  SimTime armed_at_{-1.0};
   SharePolicy share_policy_ = SharePolicy::kWeightedFair;
+  Stats stats_;
 
   // Audit bookkeeping: when the server was created, the capacity in effect for the
   // current active set, and the largest capacity ever granted (the conservation

@@ -16,13 +16,14 @@
 // sweep certifies.
 //
 // Cancellation is lazy: Cancel() marks the queued record as a tombstone, which is
-// discarded when it reaches the front of the queue. Cancel-heavy components (the
-// network fabric cancels and reschedules a completion event on every rate change)
-// would otherwise grow the queue with dead entries whose virtual times lie far in
-// the future, so the queue compacts itself — dropping all tombstones and
+// discarded when it reaches the front of the queue. A cancel-heavy component would
+// otherwise grow the queue with dead entries whose virtual times lie far in the
+// future, so the queue compacts itself — dropping all tombstones and
 // re-heapifying — whenever tombstones outnumber live events (and the queue is big
 // enough for the rebuild to pay off). This bounds the queue to at most twice the
-// live event count plus a constant.
+// live event count plus a constant. The fluid models (FluidServer, the network
+// fabric) keep one completion event each and re-arm it only when their earliest
+// completion time moves, so most rate changes leave no tombstone at all.
 //
 // Memory layout (see DESIGN.md, "Kernel memory layout"): steady-state
 // schedule/fire performs zero heap allocations. Event records live in

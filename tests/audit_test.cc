@@ -1,7 +1,10 @@
 #include "src/simcore/audit.h"
 
+#include <algorithm>
 #include <cstdlib>
+#include <functional>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -169,6 +172,68 @@ TEST(SimAuditTest, DetectsPairClassFinishTagBehindItsClock) {
   }
   EXPECT_TRUE(clock_flagged) << audit.Summary();
   EXPECT_TRUE(order_flagged) << audit.Summary();
+}
+
+// FluidServer keeps one virtual clock per share-weight class and a heap of
+// fixed finish tags per class, and arms its single completion event at the
+// earliest head completion. The three fixtures below corrupt one piece of
+// that state each through test-only hooks and audit the server standalone.
+// Three requests of 100, 200 and 300 units share a 90-unit/s server (30
+// each), so the class heap holds tags 100, 200, 300 with 100 at the head.
+struct FluidClassFixture {
+  Simulation sim;
+  FluidServer server{&sim, "disk", ConstantCapacity(90.0)};
+  FluidServer::RequestId ids[3] = {
+      server.Submit(100.0, [] {}), server.Submit(200.0, [] {}), server.Submit(300.0, [] {})};
+
+  // The invariants `server` violates, after checking it was clean first.
+  std::vector<std::string> ViolationsAfter(const std::function<void()>& corrupt) {
+    SimAudit clean;
+    server.AuditInvariants(clean, AuditPhase::kEventBoundary);
+    EXPECT_TRUE(clean.ok()) << clean.Summary();
+    corrupt();
+    SimAudit audit;  // Standalone: the corrupted server is audited, never run.
+    server.AuditInvariants(audit, AuditPhase::kEventBoundary);
+    std::vector<std::string> names;
+    for (const AuditViolation& violation : audit.violations()) {
+      EXPECT_EQ(violation.source, "disk");
+      names.push_back(violation.invariant);
+    }
+    return names;
+  }
+};
+
+TEST(SimAuditTest, DetectsFluidClassHeapOutOfOrder) {
+  // Tag 300 skewed to 50 sits below its parent (the head, 100) without
+  // breaking anything else: the clock reads 0 and the head is unchanged.
+  FluidClassFixture f;
+  const auto names =
+      f.ViolationsAfter([&] { f.server.SkewFinishTagForTest(f.ids[2], -250.0); });
+  EXPECT_EQ(names, std::vector<std::string>{"fluid-class-heap-order"});
+}
+
+TEST(SimAuditTest, DetectsFluidClassTagBehindItsClock) {
+  // At t=1 the clock reads 30; the head's tag skewed from 100 to 10 trails it,
+  // so that completion was missed. The heap stays ordered (10 is still the
+  // minimum); the head's completion time moves, so the timer check may fire
+  // too.
+  FluidClassFixture f;
+  f.sim.ScheduleAt(monoutil::Seconds(1.0), [] {});
+  ASSERT_TRUE(f.sim.Step());
+  const auto names = f.ViolationsAfter([&] { f.server.SkewFinishTagForTest(f.ids[0], -90.0); });
+  EXPECT_NE(std::find(names.begin(), names.end(), "fluid-class-clock"), names.end());
+  for (const std::string& name : names) {
+    EXPECT_TRUE(name == "fluid-class-clock" || name == "completion-timer-at-head") << name;
+  }
+}
+
+TEST(SimAuditTest, DetectsCompletionTimerOffTheHead) {
+  // The completion event re-armed a second late: the head would complete
+  // unobserved while the class state itself stays consistent.
+  FluidClassFixture f;
+  const auto names =
+      f.ViolationsAfter([&] { f.server.SkewCompletionTimerForTest(monoutil::Seconds(1.0)); });
+  EXPECT_EQ(names, std::vector<std::string>{"completion-timer-at-head"});
 }
 
 TEST(SimAuditTest, NestedAuditReceivesChecksAndRestoresOuter) {

@@ -110,6 +110,46 @@ TEST(CriticalPathTest, EmptyLogYieldsEmptyReport) {
   EXPECT_DOUBLE_EQ(report.job().duration().seconds(), 0.0);
 }
 
+// A fixed multi-stage log, interleaved across stages and resources with
+// overlapping service, queueing gaps and idle gaps. Its rendered report is
+// pinned byte for byte, so a change to how the sweep orders or groups its
+// events cannot move any attribution unnoticed.
+TEST(CriticalPathTest, MultiStageReportIsPinned) {
+  MonotaskLog log;
+  log.Record(Rec(5, MonoResource::kNetwork, 7.25, 7.5, 9.0));
+  log.Record(Rec(0, MonoResource::kDisk, 0.0, 0.0, 1.0 / 3.0));
+  log.Record(Rec(2, MonoResource::kCpu, 3.0, 3.5, 4.75));
+  log.Record(Rec(0, MonoResource::kCpu, 0.125, 1.0 / 3.0, 2.0));
+  log.Record(Rec(5, MonoResource::kDisk, 7.0, 7.0, 8.5));
+  log.Record(Rec(2, MonoResource::kNetwork, 3.0, 3.0, 4.0));
+  log.Record(Rec(0, MonoResource::kCpu, 0.5, 0.5, 2.0 / 3.0));
+  log.Record(Rec(2, MonoResource::kCpu, 5.0, 5.0, 5.5));
+  log.Record(Rec(5, MonoResource::kCpu, 7.1, 8.0, 9.0));
+  log.Record(Rec(0, MonoResource::kDisk, 1.5, 1.75, 2.25));
+  log.Record(Rec(2, MonoResource::kDisk, 3.25, 4.0, 4.5));
+  log.Record(Rec(5, MonoResource::kNetwork, 7.0, 7.0, 7.2));
+  const CriticalPathReport report = CriticalPathReport::Build(log);
+  EXPECT_EQ(report.ToString(),
+            "critical-path report (complete)\n"
+            "  job: 9s wall, dominant cpu\n"
+            "    cpu: critical 3.20833s, busy 4.58333s, queue-wait 1.60833s (5 monotask(s))\n"
+            "    disk: critical 1.775s, busy 2.83333s, queue-wait 1s (4 monotask(s))\n"
+            "    network: critical 1.51667s, busy 2.7s, queue-wait 0.25s (3 monotask(s))\n"
+            "    idle: 2.5s\n"
+            "  stage 0: 2.25s wall, dominant cpu\n"
+            "    cpu: critical 1.54167s, busy 1.83333s, queue-wait 0.208333s (2 monotask(s))\n"
+            "    disk: critical 0.708333s, busy 0.833333s, queue-wait 0.25s (2 monotask(s))\n"
+            "  stage 2: 2.5s wall, dominant cpu\n"
+            "    cpu: critical 1.25s, busy 1.75s, queue-wait 0.5s (2 monotask(s))\n"
+            "    disk: critical 0.25s, busy 0.5s, queue-wait 0.75s (1 monotask(s))\n"
+            "    network: critical 0.75s, busy 1s, queue-wait 0s (1 monotask(s))\n"
+            "    idle: 0.25s\n"
+            "  stage 5: 2s wall, dominant disk\n"
+            "    cpu: critical 0.416667s, busy 1s, queue-wait 0.9s (1 monotask(s))\n"
+            "    disk: critical 0.816667s, busy 1.5s, queue-wait 0s (1 monotask(s))\n"
+            "    network: critical 0.766667s, busy 1.7s, queue-wait 0.25s (2 monotask(s))\n");
+}
+
 // The ISSUE acceptance check: on a traced sort run, the blame derived from the
 // always-on MonotaskLog agrees with the opt-in trace_report pipeline within 5%
 // on every active (stage, resource) pair.

@@ -145,9 +145,13 @@ TEST(DeterminismTest, StrongUnitTypesPreservePreRefactorDigests) {
   // promotion). The wrappers hold exactly the representation the typedefs had
   // and every arithmetic expression was preserved operation-for-operation, so
   // the event schedule -- and therefore the digest -- must be bit-identical.
-  // Re-pinned once since: the pair-class fabric (one rate and one virtual
+  // Re-pinned twice since: the pair-class fabric (one rate and one virtual
   // clock per (src, dst) pair) evaluates progress in a different FP order, so
-  // two rows' event times moved in the last bits. Fired counts are unchanged.
+  // two rows' event times moved in the last bits; then FluidServer moved onto
+  // the same virtual-clock classes and re-arms its completion event only when
+  // the earliest completion moves, which shifts CPU/disk event times in the
+  // last bits and the sequence numbers of every later event, so all four rows
+  // moved. Fired counts are unchanged both times.
   struct Oracle {
     bool monotasks;
     int values_per_key;
@@ -155,10 +159,10 @@ TEST(DeterminismTest, StrongUnitTypesPreservePreRefactorDigests) {
     uint64_t fired;
   };
   static constexpr Oracle kOracles[] = {
-      {false, 10, 18221792197980647928ull, 518},
-      {false, 50, 7608445971251280186ull, 518},
-      {true, 10, 2915116836748425211ull, 181},
-      {true, 50, 6531501486197293149ull, 181},
+      {false, 10, 12419071918901391806ull, 518},
+      {false, 50, 17036065132168203771ull, 518},
+      {true, 10, 6388527301975103093ull, 181},
+      {true, 50, 14413995973532971883ull, 181},
   };
   for (const Oracle& oracle : kOracles) {
     const RunWitness witness = RunSort(oracle.monotasks, 7, oracle.values_per_key);

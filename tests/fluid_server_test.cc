@@ -1,5 +1,6 @@
 #include "src/simcore/fluid_server.h"
 
+#include <limits>
 #include <map>
 #include <vector>
 
@@ -307,6 +308,57 @@ TEST(FluidServerTest, ManyRequestsAllComplete) {
   sim.Run();
   EXPECT_EQ(finished, 64);
   EXPECT_EQ(server.active(), 0);
+}
+
+TEST(FluidServerTest, UnchangedRateLeavesClockAndTimerAlone) {
+  // Eight single-core requests on an 8-core pool all run at the one-core cap,
+  // so admitting the 2nd..8th changes no rate, and each newcomer finishes
+  // after the head, so the completion event stays where it is. Only the
+  // class opening (rate 0 -> 1) and the head moving after each completion
+  // touch the clock or the timer.
+  Simulation sim;
+  FluidServer cpu(&sim, "cpu", ConstantCapacity(8.0), /*per_request_cap=*/1.0);
+  for (int i = 0; i < 8; ++i) {
+    cpu.Submit(1.0 + i, [] {});
+  }
+  EXPECT_EQ(cpu.stats().rate_changes, 1u);
+  EXPECT_EQ(cpu.stats().timer_rearms, 1u);
+  sim.Run();
+  EXPECT_NEAR(sim.now().seconds(), 8.0, 1e-9);
+  EXPECT_EQ(cpu.stats().completions, 8u);
+  EXPECT_EQ(cpu.stats().rate_changes, 1u);
+  EXPECT_EQ(cpu.stats().timer_rearms, 8u);  // The first arm, then one per new head.
+
+  // A ninth concurrent request oversubscribes the pool: every rate drops to
+  // 8/9 core, one change for the whole class.
+  for (int i = 0; i < 9; ++i) {
+    cpu.Submit(1.0, [] {});
+  }
+  EXPECT_EQ(cpu.stats().rate_changes, 3u);  // Reopened at 1 core, then 8/9 at the ninth.
+  sim.Run();
+  EXPECT_NEAR(sim.now().seconds(), 8.0 + 9.0 / 8.0, 1e-9);
+  EXPECT_EQ(cpu.stats().completions, 17u);
+}
+
+TEST(FluidServerDeathTest, RejectsInfiniteAmount) {
+  Simulation sim;
+  FluidServer server(&sim, "disk", ConstantCapacity(100.0));
+  EXPECT_DEATH(server.Submit(std::numeric_limits<double>::infinity(), [] {}),
+               "amount must be finite");
+}
+
+TEST(FluidServerDeathTest, RejectsNanAmount) {
+  Simulation sim;
+  FluidServer server(&sim, "disk", ConstantCapacity(100.0));
+  EXPECT_DEATH(server.Submit(std::numeric_limits<double>::quiet_NaN(), [] {}),
+               "amount must be finite");
+}
+
+TEST(FluidServerDeathTest, RejectsInfiniteContentionWeight) {
+  Simulation sim;
+  FluidServer server(&sim, "disk", HddCapacity(100.0, 0.3));
+  EXPECT_DEATH(server.Submit(10.0, [] {}, std::numeric_limits<double>::infinity(), 1.0),
+               "contention weight must be finite");
 }
 
 }  // namespace

@@ -9,8 +9,8 @@ max-min fabric shipping at 4.8x below the legacy model — not 10% wobble.
 Scenarios without a --gate are printed for trend inspection but never fail.
 
 A gated scenario's deterministic fields (DETERMINISTIC_FIELDS: events, queue
-peak, digest and the fabric solver's work counters) must also equal the
-baseline's exactly. They are noise-free, so any difference is an algorithmic
+peak, digest, the fabric solver's work counters and the fluid servers' work
+counters) must also equal the baseline's exactly. They are noise-free, so any difference is an algorithmic
 change: the gate names the field, and the baseline must be re-recorded with a
 reason.
 
@@ -33,6 +33,7 @@ Usage:
                --current BENCH_simcore.json \
                --gate fabric_churn_maxmin:0.35 \
                --gate fabric_churn_maxmin_audit:0.35 \
+               --gate fluid_churn:0.35 \
                --pair fabric_churn_maxmin:fabric_churn_maxmin_telemetry_off:0.95
 """
 
@@ -52,6 +53,8 @@ DETERMINISTIC_FIELDS = (
     "batched_changes",
     "patched_arrivals",
     "patched_departures",
+    "timer_rearms",
+    "completions",
 )
 
 

@@ -30,6 +30,19 @@ FABRIC = {
 }
 
 
+FLUID = {
+    "name": "fluid_churn",
+    "events": 191596,
+    "seconds": 0.05,
+    "events_per_sec": 3800000,
+    "max_queue": 7,
+    "digest": "d60942bc49ed8ab3",
+    "rate_changes": 254726,
+    "timer_rearms": 255345,
+    "completions": 128000,
+}
+
+
 def scenario(**changes):
     row = dict(FABRIC)
     row.update(changes)
@@ -75,6 +88,21 @@ class PerfGateTest(unittest.TestCase):
         result = self.run_gate([scenario()], [current], "--gate", "fabric_churn_maxmin:0.35")
         self.assertEqual(result.returncode, 1)
         self.assertIn("patched_departures", result.stderr)
+
+    def test_fluid_counter_drift_fails_and_names_the_field(self) -> None:
+        fluid = dict(FLUID)
+        result = self.run_gate([fluid], [dict(fluid, timer_rearms=255346)],
+                               "--gate", "fluid_churn:0.35")
+        self.assertEqual(result.returncode, 1)
+        self.assertIn("timer_rearms", result.stderr)
+        self.assertNotIn("completions", result.stderr)
+        result = self.run_gate([fluid], [dict(fluid, completions=127999)],
+                               "--gate", "fluid_churn:0.35")
+        self.assertEqual(result.returncode, 1)
+        self.assertIn("completions", result.stderr)
+        result = self.run_gate([fluid], [dict(fluid, events_per_sec=2000000)],
+                               "--gate", "fluid_churn:0.35")
+        self.assertEqual(result.returncode, 0, result.stderr)
 
     def test_ungated_scenario_may_drift(self) -> None:
         result = self.run_gate([scenario()], [scenario(rate_changes=1, events_per_sec=1)])
